@@ -2,8 +2,7 @@
 //! thread pool, deterministically.
 
 use crate::{Instance, Solution, SolveConfig, SolveError, SolverRegistry};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use lmds_graph::par;
 
 /// One unit of batch work: solver key + config, applied to one instance
 /// of the batch.
@@ -48,11 +47,11 @@ impl Default for BatchRunner {
 }
 
 impl BatchRunner {
-    /// A runner sized to the machine (`available_parallelism`, capped
-    /// at 8 — solves are short; more threads just thrash).
+    /// A runner sized to the machine by the [`par::workers`] policy
+    /// (the machine's parallelism, capped at 8). A cell is a whole
+    /// solve, so a single one clears the grain.
     pub fn new() -> Self {
-        let threads = std::thread::available_parallelism().map_or(4, |p| p.get()).min(8);
-        BatchRunner { threads }
+        BatchRunner { threads: par::workers(1, 1) }
     }
 
     /// A runner with an explicit thread count (≥ 1).
@@ -82,50 +81,29 @@ impl BatchRunner {
         jobs: &[BatchJob],
         instances: &[Instance],
     ) -> Vec<BatchRecord> {
-        let total = jobs.len() * instances.len();
         let max_n = instances.iter().map(Instance::n).max().unwrap_or(0);
-        let slots: Mutex<Vec<Option<BatchRecord>>> = Mutex::new((0..total).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(total.max(1)) {
-                scope.spawn(|| {
-                    lmds_graph::scratch::with_thread_scratch(|s| s.reserve(max_n));
-                    loop {
-                        let cell = next.fetch_add(1, Ordering::Relaxed);
-                        if cell >= total {
-                            break;
-                        }
-                        let (j, i) = (cell / instances.len(), cell % instances.len());
-                        let job = &jobs[j];
-                        let inst = &instances[i];
-                        let result = registry.solve(&job.solver, inst, &job.config);
-                        // Every batch solution passes the full
-                        // certificate recheck in debug builds.
-                        #[cfg(debug_assertions)]
-                        if let Ok(sol) = &result {
-                            if let Err(e) = sol.verify(inst) {
-                                panic!(
-                                    "batch solution {}/{} failed verification: {e}",
-                                    job.solver, inst.name
-                                );
-                            }
-                        }
-                        let record = BatchRecord {
-                            instance: inst.name.clone(),
-                            solver: job.solver.clone(),
-                            result,
-                        };
-                        slots.lock().expect("batch mutex")[cell] = Some(record);
+        par::drain(
+            jobs.len() * instances.len(),
+            self.threads,
+            || lmds_graph::scratch::with_thread_scratch(|s| s.reserve(max_n)),
+            |_, cell| {
+                let (job, inst) =
+                    (&jobs[cell / instances.len()], &instances[cell % instances.len()]);
+                let result = registry.solve(&job.solver, inst, &job.config);
+                // Every batch solution passes the full certificate
+                // recheck in debug builds.
+                #[cfg(debug_assertions)]
+                if let Ok(sol) = &result {
+                    if let Err(e) = sol.verify(inst) {
+                        panic!(
+                            "batch solution {}/{} failed verification: {e}",
+                            job.solver, inst.name
+                        );
                     }
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("batch mutex")
-            .into_iter()
-            .map(|r| r.expect("every cell filled"))
-            .collect()
+                }
+                BatchRecord { instance: inst.name.clone(), solver: job.solver.clone(), result }
+            },
+        )
     }
 }
 

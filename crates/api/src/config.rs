@@ -107,7 +107,9 @@ pub struct ScenarioConfig {
     /// safe default.
     pub round_cap: Option<u32>,
     /// Worker threads for [`ExecutionMode::LOCAL_SHARDED`] (clamped to
-    /// ≥ 1 at use).
+    /// `1..=n` at use). The phases inside a solve take their worker
+    /// counts from the automatic [`lmds_graph::par::workers`] policy
+    /// instead; no count changes any output.
     pub threads: usize,
     /// The fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs: seeded
     /// message drops, crash-stop vertices, bounded round-asynchrony.

@@ -211,7 +211,9 @@ fn fault_grace(cfg: &SolveConfig) -> Option<u32> {
 /// grace-and-skew headroom so default fault runs terminate.
 fn local_round_cap(cfg: &SolveConfig, default: u32) -> u32 {
     let fault = cfg.scenario.fault;
-    cfg.scenario.round_cap.unwrap_or(default + fault.grace() + fault.skew)
+    cfg.scenario
+        .round_cap
+        .unwrap_or(default.saturating_add(fault.grace()).saturating_add(fault.skew))
 }
 
 /// Runs a boolean [`LocalAlgorithm`] under the config's LOCAL scenario:
@@ -265,9 +267,7 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         let stats = MessageStats { accounting: run.messages, decided_at: run.decided_histogram() };
         return Ok((vertices, Some(run.rounds), Some(stats), Some(run.report)));
     }
-    // max(1): SolveConfig's fields are public, so a hand-built
-    // threads: 0 must not turn into a div_ceil panic downstream.
-    let res = kind.run(&inst.graph, ids, algo, cap, cfg.scenario.threads.max(1))?;
+    let res = kind.run(&inst.graph, ids, algo, cap, cfg.scenario.threads)?;
     let vertices: Vec<Vertex> =
         res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
     let stats = MessageStats { accounting: res.messages, decided_at: res.decided_histogram() };

@@ -22,26 +22,8 @@
 
 use crate::local_cuts;
 use crate::radii::Radii;
-use lmds_graph::{ExactBackend, FixedBitSet, Graph, InducedSubgraph, Vertex};
+use lmds_graph::{par, ExactBackend, FixedBitSet, Graph, InducedSubgraph, Vertex};
 use lmds_localsim::IdAssignment;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Below this quotient size the dominated/`U` mask passes stay
-/// sequential — they are O(n + m) sweeps, so the scoped-thread spawn
-/// only pays for itself on large quotients (the adaptive LOCAL deciders
-/// run the pipeline on many small view graphs, which must stay cheap).
-const MASK_PARALLEL_THRESHOLD: usize = 1 << 14;
-
-/// Residual components are solved exactly, which is far more expensive
-/// per item than a linear sweep, so per-component parallelism pays off
-/// at the same (small) scale the CutEngine shards at.
-const RESIDUAL_PARALLEL_THRESHOLD: usize = 640;
-
-/// Worker count for the sharded pipeline phases (same policy as the
-/// CutEngine sweeps).
-fn worker_count(items: usize) -> usize {
-    std::thread::available_parallelism().map_or(1, |c| c.get()).min(8).min(items.max(1))
-}
 
 /// Everything the pipeline computes, exposed for the lemma-level
 /// experiments (Lemmas 3.2, 3.3, 4.2 all measure intermediate sets).
@@ -154,81 +136,46 @@ pub fn pipeline_state_with(
         (x, i)
     });
     let s: Vec<bool> = (0..rn).map(|v| x[v] || i[v]).collect();
-    let workers = if rn >= MASK_PARALLEL_THRESHOLD { worker_count(rn) } else { 1 };
-    let (dominated, u) = domination_masks(rg, &s, workers);
+    let (dominated, u) = domination_masks(rg, &s);
     PipelineState { kept_mask, reduced, x, i, s, dominated, u }
 }
 
 /// Computes the dominated mask `N_R[S]` and the `U` filter (distance-≤2
-/// information from `S`) over the quotient `rg`, sharded across
-/// `workers` scoped threads. The dominated mask is built as packed
-/// bitsets — workers scatter into private shards that merge by
-/// word-wise OR — so the result is independent of worker count and
-/// schedule.
-fn domination_masks(rg: &Graph, s: &[bool], workers: usize) -> (Vec<bool>, Vec<bool>) {
+/// information from `S`) over the quotient `rg`. The dominated mask is
+/// built as packed bitsets — [`par::fold`] workers scatter into private
+/// shards that merge by word-wise OR — and `U` is filled per vertex, so
+/// the result is independent of worker count and schedule.
+fn domination_masks(rg: &Graph, s: &[bool]) -> (Vec<bool>, Vec<bool>) {
     let rn = rg.n();
-    let parallel = workers > 1 && rn > 1;
-    let scatter = |bits: &mut FixedBitSet, lo: usize, hi: usize| {
-        for (v, &in_s) in s.iter().enumerate().take(hi).skip(lo) {
-            if in_s {
+    let workers = par::workers(rn, par::SWEEP_GRAIN);
+    let dominated_bits = par::fold(
+        rn,
+        workers,
+        || FixedBitSet::zeros(rn),
+        |bits, v| {
+            if s[v] {
                 bits.set(v);
                 for &w in rg.neighbors(v) {
                     bits.set(w as usize);
                 }
             }
-        }
-    };
-    let dominated_bits = if parallel {
-        let chunk = rn.div_ceil(workers);
-        let partials: Vec<FixedBitSet> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|ci| {
-                    let lo = (ci * chunk).min(rn);
-                    let hi = ((ci + 1) * chunk).min(rn);
-                    let scatter = &scatter;
-                    scope.spawn(move || {
-                        let mut bits = FixedBitSet::zeros(rn);
-                        scatter(&mut bits, lo, hi);
-                        bits
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("domination shard worker")).collect()
-        });
-        let mut acc = FixedBitSet::zeros(rn);
-        for p in &partials {
-            acc.union_with(p);
-        }
-        acc
-    } else {
-        let mut bits = FixedBitSet::zeros(rn);
-        scatter(&mut bits, 0, rn);
-        bits
-    };
-    let u_of = |v: Vertex| {
-        dominated_bits.contains(v)
-            && !s[v]
-            && rg.neighbors(v).iter().all(|&w| dominated_bits.contains(w as usize))
-    };
+        },
+        |mut acc, part| {
+            acc.union_with(&part);
+            acc
+        },
+    );
     let mut u = vec![false; rn];
-    if parallel {
-        let chunk = rn.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (ci, out) in u.chunks_mut(chunk).enumerate() {
-                let lo = ci * chunk;
-                let u_of = &u_of;
-                scope.spawn(move || {
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        *slot = u_of(lo + j);
-                    }
-                });
-            }
-        });
-    } else {
-        for (v, slot) in u.iter_mut().enumerate() {
-            *slot = u_of(v);
-        }
-    }
+    par::fill(
+        &mut u,
+        workers,
+        || (),
+        |_, v| {
+            dominated_bits.contains(v)
+                && !s[v]
+                && rg.neighbors(v).iter().all(|&w| dominated_bits.contains(w as usize))
+        },
+    );
     (dominated_bits.to_bools(), u)
 }
 
@@ -301,45 +248,23 @@ pub fn solve_component_with(
 
 /// Solves every residual component (sorted, deduped union of the
 /// per-component exact solutions, in host indices). Components are
-/// independent exact instances; with `workers > 1` scoped threads drain
-/// them from a shared atomic index — each worker gets its own
-/// thread-local exact engine, and the final sort erases the claim
-/// order, so the result is independent of scheduling.
+/// independent exact instances of uneven size, so [`par::drain`] hands
+/// them out one at a time (each worker on its own thread-local exact
+/// engine); the final sort erases the claim order.
 fn solve_residuals(
     state: &PipelineState,
     ids: &[u64],
     comps: &[Vec<Vertex>],
     exact: bool,
-    workers: usize,
 ) -> Vec<Vertex> {
-    let mut selected: Vec<Vertex> = Vec::new();
-    if workers > 1 && comps.len() > 1 {
-        let next = AtomicUsize::new(0);
-        let per_worker: Vec<Vec<Vertex>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut mine: Vec<Vertex> = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(comp) = comps.get(k) else { break };
-                            mine.extend(solve_component_with(state, ids, comp, exact));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("residual solve worker")).collect()
-        });
-        for mine in per_worker {
-            selected.extend(mine);
-        }
-    } else {
-        for comp in comps {
-            selected.extend(solve_component_with(state, ids, comp, exact));
-        }
-    }
+    let workers = par::workers(state.reduced.graph.n(), par::BALL_GRAIN);
+    let mut selected: Vec<Vertex> = par::drain(
+        comps.len(),
+        workers,
+        || (),
+        |_, k| solve_component_with(state, ids, &comps[k], exact),
+    )
+    .concat();
     selected.sort_unstable();
     selected.dedup();
     selected
@@ -380,8 +305,7 @@ pub fn algorithm1_with(
     let kept: Vec<Vertex> = g.vertices().filter(|&v| state.kept_mask[v]).collect();
 
     let comps = residual_components(&state);
-    let workers = if rg_n >= RESIDUAL_PARALLEL_THRESHOLD { worker_count(comps.len()) } else { 1 };
-    let brute_selected = solve_residuals(&state, &id_vec, &comps, opts.exact_brute, workers);
+    let brute_selected = solve_residuals(&state, &id_vec, &comps, opts.exact_brute);
 
     let mut solution: Vec<Vertex> = Vec::new();
     solution.extend(&x_set);
@@ -580,24 +504,56 @@ mod tests {
 
     #[test]
     fn sharded_phases_match_sequential() {
-        // The production gates may resolve to one worker (small
-        // quotients, small machines), so force the parallel paths here
-        // and pin them to the sequential results.
-        let g = lmds_gen::ding::AugmentationSpec::standard(8, 4, 3, 21).generate();
-        let ids: Vec<u64> = (0..g.n() as u64).collect();
-        let state = pipeline_state(&g, &ids, Radii::practical(2, 3));
-        let rg = &state.reduced.graph;
-        let (dom_seq, u_seq) = domination_masks(rg, &state.s, 1);
-        assert_eq!(dom_seq, state.dominated);
-        assert_eq!(u_seq, state.u);
-        let comps = residual_components(&state);
-        let brute_seq = solve_residuals(&state, &ids, &comps, true, 1);
-        for workers in [2, 4, 7] {
-            let (dom, u) = domination_masks(rg, &state.s, workers);
-            assert_eq!(dom, dom_seq, "dominated mask drifted at workers={workers}");
-            assert_eq!(u, u_seq, "U mask drifted at workers={workers}");
-            let brute = solve_residuals(&state, &ids, &comps, true, workers);
-            assert_eq!(brute, brute_seq, "residual solves drifted at workers={workers}");
+        // Every data-parallel phase, forced through `par::with_workers`
+        // to each worker count (bypassing the grains, so these small
+        // graphs take the multi-worker paths on any host), must
+        // reproduce the one-worker result exactly; the oracle runtime
+        // likewise at each thread count.
+        use crate::distributed::Algorithm1Decider;
+        use crate::local_cuts::CutEngine;
+        use lmds_graph::twins::twin_representatives;
+        use lmds_localsim::{OracleRuntime, Runtime, ShardedOracleRuntime};
+        let radii = Radii::practical(2, 3);
+        let phases = |g: &Graph, ids: &IdAssignment| {
+            let id_vec: Vec<u64> = g.vertices().map(|v| ids.id_of(v)).collect();
+            let state = pipeline_state(g, &id_vec, radii);
+            let mut engine = CutEngine::new();
+            let out = algorithm1(g, ids, radii);
+            (
+                twin_representatives(g),
+                engine.one_cut_mask(g, radii.one_cut),
+                engine.interesting_mask(g, radii.two_cut),
+                engine.two_cut_endpoint_mask(g, radii.two_cut),
+                (state.dominated, state.u),
+                (out.residual_components, out.brute_selected),
+            )
+        };
+        let graphs = [
+            lmds_gen::scale_instance(120, 1),
+            lmds_gen::ding::AugmentationSpec::standard(8, 4, 3, 21).generate(),
+            cycle(40),
+            lmds_gen::adversarial::clique_with_pendants(6),
+        ];
+        for (seed, g) in graphs.iter().enumerate() {
+            let ids = IdAssignment::shuffled(g.n(), seed as u64);
+            let reference = par::with_workers(1, || phases(g, &ids));
+            if seed == 0 {
+                assert!(reference.5 .0.len() > 1, "several residual components to drain");
+            }
+            let decider = Algorithm1Decider { radii };
+            let oracle = OracleRuntime.run(g, &ids, &decider, 200).expect("oracle run decides");
+            for workers in [1, 2, 4, 7] {
+                let got = par::with_workers(workers, || phases(g, &ids));
+                assert!(got == reference, "graph {seed}: workers={workers} changed a phase");
+                let sharded = ShardedOracleRuntime { threads: workers }
+                    .run(g, &ids, &decider, 200)
+                    .expect("sharded run decides");
+                assert_eq!(sharded.outputs, oracle.outputs, "graph {seed}: threads={workers}");
+                assert_eq!(
+                    sharded.decided_at, oracle.decided_at,
+                    "graph {seed}: threads={workers}"
+                );
+            }
         }
     }
 

@@ -16,8 +16,8 @@
 //!   interestingness orientations fall out of a single
 //!   [`pair_profile_within`](lmds_graph::two_cuts::pair_profile_within)
 //!   component scan of `H − {u, v}`, with no subgraph ever
-//!   materialized), and shards the per-vertex outer loops across scoped
-//!   threads on large graphs. All whole-graph queries
+//!   materialized), and shards the per-vertex outer loops through
+//!   [`lmds_graph::par`] on large graphs. All whole-graph queries
 //!   ([`local_one_cut_vertices`], [`local_two_cuts`],
 //!   [`interesting_vertices`]) and the Algorithm 1 pipeline ride it via
 //!   the thread-local [`with_thread_engine`] pool.
@@ -33,21 +33,11 @@
 //! views and are tested to agree.
 
 use lmds_graph::bfs;
+use lmds_graph::par;
 use lmds_graph::scratch::Scratch;
 use lmds_graph::two_cuts;
 use lmds_graph::{Graph, InducedSubgraph, SubsetScratch, Vertex};
 use std::cell::RefCell;
-
-/// Below this vertex count the engine stays single-threaded: the scoped
-/// thread spawn + per-worker warm-up costs more than the sweep itself
-/// (the adaptive LOCAL deciders call the engine on many small view
-/// graphs per round, which must stay cheap).
-const PARALLEL_THRESHOLD: usize = 640;
-
-/// Worker count for the sharded sweeps (same spirit as `BatchRunner`).
-fn worker_count(n: usize) -> usize {
-    std::thread::available_parallelism().map_or(1, |c| c.get()).min(8).min(n.max(1))
-}
 
 /// The shared-work engine behind every Definition-2.1 predicate sweep.
 ///
@@ -67,15 +57,16 @@ fn worker_count(n: usize) -> usize {
 ///   [`articulation::is_cut_vertex_within`](lmds_graph::articulation::is_cut_vertex_within),
 ///   which traverse `G` restricted to an epoch-marked member set —
 ///   no `InducedSubgraph` construction, no per-pair allocation.
-/// * **Sharding is observation-free.** On graphs past the size
-///   threshold the per-vertex outer loops run on scoped worker threads
-///   with per-worker engines; each worker writes a private monotone
-///   mask that is OR-merged, so the result is independent of the worker
-///   count and schedule.
+/// * **Sharding is observation-free.** The per-vertex outer loops run
+///   through [`lmds_graph::par`]: the 1-cut mask is filled per vertex,
+///   and each pair-sweep worker marks a private monotone mask that is
+///   OR-merged, so the result is independent of the worker count and
+///   schedule.
 ///
-/// A `CutEngine` is a plain bag of reusable buffers (like [`Scratch`]);
-/// it holds no graph state between runs and may serve graphs of
-/// different sizes back to back.
+/// A `CutEngine` holds only the ball index of its last run (the
+/// traversal buffers live in a per-thread pool, so every sweep worker
+/// has its own); it holds no graph state between runs and may serve
+/// graphs of different sizes back to back.
 ///
 /// **Memory profile:** the pair sweeps hold every ball of the run at
 /// once — `O(Σ_v |N^r[v]|)` words. That is the deliberate trade of
@@ -87,18 +78,27 @@ fn worker_count(n: usize) -> usize {
 /// (as the pre-engine implementations also required).
 #[derive(Debug, Default)]
 pub struct CutEngine {
-    scratch: Scratch,
-    subset: SubsetScratch,
     /// Flat per-vertex ball index for the current radius-`r` run.
     ball_offsets: Vec<usize>,
     ball_verts: Vec<Vertex>,
+}
+
+/// The traversal buffers one sweep worker reuses across vertices.
+#[derive(Debug, Default)]
+struct SweepBuffers {
+    scratch: Scratch,
+    subset: SubsetScratch,
     /// Merge buffer for `H = N^r[u] ∪ N^r[v]`.
     merged: Vec<Vertex>,
-    /// Single-ball buffer for the 1-cut sweep.
-    ball_buf: Vec<Vertex>,
-    /// Worker override for the sharded sweeps (`None` = derive from
-    /// [`std::thread::available_parallelism`]).
-    workers: Option<usize>,
+    /// Single-ball buffer.
+    ball: Vec<Vertex>,
+}
+
+impl SweepBuffers {
+    fn one_cut_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
+        bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball);
+        lmds_graph::articulation::is_cut_vertex_within(g, &mut self.subset, &self.ball, v)
+    }
 }
 
 /// What the pair sweep records into the mask.
@@ -116,53 +116,14 @@ impl CutEngine {
         Self::default()
     }
 
-    /// Overrides the worker count of the sharded sweeps (`None`
-    /// restores the automatic choice). Results are identical for every
-    /// setting — sharding only partitions the outer loops — which the
-    /// equivalence suite asserts; the knob exists for that assertion
-    /// and for capacity tuning.
-    pub fn set_workers(&mut self, workers: Option<usize>) {
-        self.workers = workers;
-    }
-
-    /// The effective worker count for a graph of `n` vertices.
-    fn effective_workers(&self, n: usize) -> usize {
-        self.workers.unwrap_or_else(|| worker_count(n)).clamp(1, n.max(1))
-    }
-
     /// The mask of `r`-local minimal 1-cut vertices: `mask[v]` iff `v`
     /// is a cut vertex of `G[N^r[v]]`. Equals [`is_local_one_cut`] per
     /// vertex.
     pub fn one_cut_mask(&mut self, g: &Graph, r: u32) -> Vec<bool> {
-        let n = g.n();
-        let workers = self.effective_workers(n);
-        let mut mask = vec![false; n];
-        if n >= PARALLEL_THRESHOLD && workers > 1 {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (ci, slice) in mask.chunks_mut(chunk).enumerate() {
-                    let start = ci * chunk;
-                    scope.spawn(move || {
-                        let mut eng = CutEngine::new();
-                        eng.scratch.reserve(n);
-                        eng.subset.reserve(n);
-                        for (off, m) in slice.iter_mut().enumerate() {
-                            *m = eng.one_cut_at(g, start + off, r);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (v, m) in mask.iter_mut().enumerate() {
-                *m = self.one_cut_at(g, v, r);
-            }
-        }
+        let mut mask = vec![false; g.n()];
+        let workers = par::workers(g.n(), par::BALL_GRAIN);
+        par::fill(&mut mask, workers, || (), |_, v| with_sweep_buffers(|b| b.one_cut_at(g, v, r)));
         mask
-    }
-
-    fn one_cut_at(&mut self, g: &Graph, v: Vertex, r: u32) -> bool {
-        bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball_buf);
-        lmds_graph::articulation::is_cut_vertex_within(g, &mut self.subset, &self.ball_buf, v)
     }
 
     /// The mask of `r`-interesting vertices. Equals [`is_interesting`]
@@ -183,17 +144,23 @@ impl CutEngine {
     /// evaluated (no early exit), each exactly once.
     pub fn two_cuts(&mut self, g: &Graph, r: u32) -> Vec<(Vertex, Vertex)> {
         self.compute_balls(g, r);
-        let mut out = Vec::new();
-        for u in g.vertices() {
-            let (bs, be) = (self.ball_offsets[u], self.ball_offsets[u + 1]);
-            for bi in bs..be {
-                let v = self.ball_verts[bi];
-                if v > u && self.pair_profile(g, u, v).is_minimal_two_cut() {
-                    out.push((u, v));
+        let ball = |w: Vertex| &self.ball_verts[self.ball_offsets[w]..self.ball_offsets[w + 1]];
+        with_sweep_buffers(|b| {
+            let mut out = Vec::new();
+            for u in g.vertices() {
+                for &v in ball(u) {
+                    if v <= u {
+                        continue;
+                    }
+                    merge_sorted(ball(u), ball(v), &mut b.merged);
+                    let profile = two_cuts::pair_profile_within(g, &mut b.subset, &b.merged, u, v);
+                    if profile.is_minimal_two_cut() {
+                        out.push((u, v));
+                    }
                 }
             }
-        }
-        out
+            out
+        })
     }
 
     /// Fills the flat ball index for radius `r`.
@@ -201,22 +168,13 @@ impl CutEngine {
         self.ball_offsets.clear();
         self.ball_verts.clear();
         self.ball_offsets.push(0);
-        for v in g.vertices() {
-            bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball_buf);
-            self.ball_verts.extend_from_slice(&self.ball_buf);
-            self.ball_offsets.push(self.ball_verts.len());
-        }
-    }
-
-    /// Profiles the pair `{u, v}` inside `H = N^r[u] ∪ N^r[v]` (balls
-    /// from the current index; `H` assembled by sorted merge, never
-    /// materialized as a graph).
-    fn pair_profile(&mut self, g: &Graph, u: Vertex, v: Vertex) -> two_cuts::PairProfile {
-        let CutEngine { ball_offsets, ball_verts, merged, subset, .. } = self;
-        let bu = &ball_verts[ball_offsets[u]..ball_offsets[u + 1]];
-        let bv = &ball_verts[ball_offsets[v]..ball_offsets[v + 1]];
-        merge_sorted(bu, bv, merged);
-        two_cuts::pair_profile_within(g, subset, merged, u, v)
+        with_sweep_buffers(|b| {
+            for v in g.vertices() {
+                bfs::ball_of_set_into(g, &mut b.scratch, &[v], r, &mut b.ball);
+                self.ball_verts.extend_from_slice(&b.ball);
+                self.ball_offsets.push(self.ball_verts.len());
+            }
+        });
     }
 
     /// The shared pair sweep: every unordered pair `{u, v}` with
@@ -226,75 +184,29 @@ impl CutEngine {
     fn pair_mask(&mut self, g: &Graph, r: u32, mode: PairMode) -> Vec<bool> {
         self.compute_balls(g, r);
         let n = g.n();
-        let workers = self.effective_workers(n);
-        if n >= PARALLEL_THRESHOLD && workers > 1 {
-            let chunk = n.div_ceil(workers);
-            let offsets = &self.ball_offsets;
-            let verts = &self.ball_verts;
-            let mut partials: Vec<Vec<bool>> = Vec::with_capacity(workers);
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(workers);
-                for ci in 0..workers {
-                    let (lo, hi) = (ci * chunk, ((ci + 1) * chunk).min(n));
-                    handles.push(scope.spawn(move || {
-                        let mut eng = CutEngine::new();
-                        eng.subset.reserve(n);
-                        let mut mask = vec![false; n];
-                        for u in lo..hi {
-                            scan_pairs_for(
-                                g,
-                                offsets,
-                                verts,
-                                &mut eng.subset,
-                                &mut eng.merged,
-                                u,
-                                mode,
-                                &mut mask,
-                            );
-                        }
-                        mask
-                    }));
-                }
-                for h in handles {
-                    partials.push(h.join().expect("cut-engine worker"));
-                }
-            });
-            let mut mask = vec![false; n];
-            for partial in partials {
-                for (m, p) in mask.iter_mut().zip(partial) {
+        let (offsets, verts) = (&self.ball_offsets, &self.ball_verts);
+        par::fold(
+            n,
+            par::workers(n, par::BALL_GRAIN),
+            || vec![false; n],
+            |mask, u| with_sweep_buffers(|b| scan_pairs_for(g, offsets, verts, b, u, mode, mask)),
+            |mut acc, part| {
+                for (m, p) in acc.iter_mut().zip(part) {
                     *m |= p;
                 }
-            }
-            mask
-        } else {
-            let mut mask = vec![false; n];
-            for u in 0..n {
-                scan_pairs_for(
-                    g,
-                    &self.ball_offsets,
-                    &self.ball_verts,
-                    &mut self.subset,
-                    &mut self.merged,
-                    u,
-                    mode,
-                    &mut mask,
-                );
-            }
-            mask
-        }
+                acc
+            },
+        )
     }
 }
 
 /// One outer-loop step of the pair sweep: all pairs `{u, v}` with
-/// `v ∈ N^r[u]`, `v > u`. Free function so the sequential and sharded
-/// paths share it (the sharded path hands in per-worker buffers).
-#[allow(clippy::too_many_arguments)]
+/// `v ∈ N^r[u]`, `v > u`, marked into the worker's `mask`.
 fn scan_pairs_for(
     g: &Graph,
     ball_offsets: &[usize],
     ball_verts: &[Vertex],
-    subset: &mut SubsetScratch,
-    merged: &mut Vec<Vertex>,
+    buffers: &mut SweepBuffers,
     u: Vertex,
     mode: PairMode,
     mask: &mut [bool],
@@ -304,8 +216,8 @@ fn scan_pairs_for(
         if v <= u || (mask[u] && mask[v]) {
             continue;
         }
-        merge_sorted(ball(u), ball(v), merged);
-        let profile = two_cuts::pair_profile_within(g, subset, merged, u, v);
+        merge_sorted(ball(u), ball(v), &mut buffers.merged);
+        let profile = two_cuts::pair_profile_within(g, &mut buffers.subset, &buffers.merged, u, v);
         if !profile.is_minimal_two_cut() {
             continue;
         }
@@ -363,18 +275,29 @@ fn merge_sorted(a: &[Vertex], b: &[Vertex], out: &mut Vec<Vertex>) {
 
 thread_local! {
     static ENGINE_POOL: RefCell<CutEngine> = RefCell::new(CutEngine::new());
+    static SWEEP_POOL: RefCell<SweepBuffers> = RefCell::new(SweepBuffers::default());
 }
 
 /// Runs `f` with this thread's pooled [`CutEngine`] — the same pattern
 /// as [`lmds_graph::scratch::with_thread_scratch`]. The adaptive LOCAL
 /// deciders call the pipeline once per vertex per round; the pool makes
-/// those calls reuse one set of ball/merge/traversal buffers per worker
-/// thread. Falls back to a fresh engine if the pooled one is already
-/// borrowed (nested call), with identical results.
+/// those calls reuse one ball index per thread. Falls back to a fresh
+/// engine if the pooled one is already borrowed (nested call), with
+/// identical results.
 pub fn with_thread_engine<R>(f: impl FnOnce(&mut CutEngine) -> R) -> R {
     ENGINE_POOL.with(|cell| match cell.try_borrow_mut() {
         Ok(mut e) => f(&mut e),
         Err(_) => f(&mut CutEngine::new()),
+    })
+}
+
+/// Runs `f` with this thread's pooled sweep buffers: the caller's warm
+/// ones when a sweep runs inline, each worker's own otherwise. Falls
+/// back to fresh buffers on a nested borrow.
+fn with_sweep_buffers<R>(f: impl FnOnce(&mut SweepBuffers) -> R) -> R {
+    SWEEP_POOL.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut b) => f(&mut b),
+        Err(_) => f(&mut SweepBuffers::default()),
     })
 }
 

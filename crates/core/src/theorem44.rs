@@ -34,7 +34,7 @@ pub fn neighborhood_absorbed(rg: &Graph, v: Vertex) -> bool {
 }
 
 /// `D₂` of a (twin-free) graph: vertices not absorbed by any neighbor.
-pub fn d2_set(rg: &Graph) -> Vec<Vertex> {
+fn d2_set(rg: &Graph) -> Vec<Vertex> {
     rg.vertices().filter(|&v| !neighborhood_absorbed(rg, v)).collect()
 }
 

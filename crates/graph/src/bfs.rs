@@ -1,5 +1,5 @@
 //! Breadth-first traversal and metric queries: distances, balls `N^r[v]`,
-//! eccentricity, diameter, radius, and weak diameter.
+//! diameter, radius, and weak diameter.
 //!
 //! Balls are the central object of the paper: an `r`-round LOCAL algorithm
 //! is exactly a function of `G[N^r[v]]` (plus identifiers), so every
@@ -227,11 +227,6 @@ pub fn ball_with_distances(g: &Graph, v: Vertex, r: u32) -> Vec<(Vertex, u32)> {
     })
 }
 
-/// Eccentricity of `v` within its connected component.
-pub fn eccentricity(g: &Graph, v: Vertex) -> u32 {
-    bfs_distances(g, v).into_iter().flatten().max().unwrap_or(0)
-}
-
 /// Diameter of the graph.
 ///
 /// Returns `None` if the graph is disconnected or empty (the diameter is
@@ -371,13 +366,6 @@ mod tests {
         let disc = Graph::from_edges(3, &[(0, 1)]);
         assert_eq!(diameter(&disc), None);
         assert_eq!(radius(&disc), None);
-    }
-
-    #[test]
-    fn eccentricity_center_vs_leaf() {
-        let g = path(5);
-        assert_eq!(eccentricity(&g, 2), 2);
-        assert_eq!(eccentricity(&g, 0), 4);
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   `_with`/`_into` variants or the thread-local pool, making ball
 //!   queries O(|ball|) instead of O(n) (see [`scratch`] for the reuse
 //!   contract),
+//! * the one data-parallel primitive ([`par`]): index-range fill, fold
+//!   and drain over scoped worker threads, with the workspace's single
+//!   worker-count policy,
 //! * traversal and metric queries ([`bfs`]: balls `N^r[v]`, distances,
 //!   diameter, radius, weak diameter),
 //! * the connectivity stack ([`connectivity`], [`articulation`],
@@ -57,6 +60,7 @@ pub mod exact;
 pub mod graph;
 pub mod io;
 pub mod minor;
+pub mod par;
 pub mod properties;
 pub mod scratch;
 pub mod spqr;

@@ -86,21 +86,6 @@ pub fn is_k2t_minor_free(g: &Graph, t: usize, budget: u64) -> Result<bool, Graph
     has_k2t_minor(g, t, budget).map(|h| !h)
 }
 
-/// Polynomial heuristic lower bound: the best petal count over
-/// single-vertex hub pairs only.
-pub fn k2_minor_lower_bound(g: &Graph) -> usize {
-    let mut best = 0;
-    for a in g.vertices() {
-        for b in (a + 1)..g.n() {
-            let mut blocked = vec![false; g.n()];
-            blocked[a] = true;
-            blocked[b] = true;
-            best = best.max(count_petals(g, &[a], &[b], &blocked));
-        }
-    }
-    best
-}
-
 struct Search<'g> {
     g: &'g Graph,
     budget: u64,
@@ -490,11 +475,6 @@ mod tests {
         let exact = max_k2_minor(&g, BUDGET);
         assert!(exact.is_exact());
         assert_eq!(exact.value(), 4);
-        assert!(
-            k2_minor_lower_bound(&g) < exact.value(),
-            "single-vertex hubs must be insufficient here (got {})",
-            k2_minor_lower_bound(&g)
-        );
     }
 
     #[test]
@@ -505,13 +485,6 @@ mod tests {
             MinorAnswer::Exact(_) => panic!("budget of 1 cannot complete"),
         }
         assert!(has_k2t_minor(&g, 3, 1).is_err());
-    }
-
-    #[test]
-    fn heuristic_is_a_lower_bound() {
-        for g in [cycle(6), k2t(3), Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)])] {
-            assert!(k2_minor_lower_bound(&g) <= max_k2_minor(&g, BUDGET).value());
-        }
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Simple structural properties: degrees, regularity, forests,
-//! degeneracy.
+//! Simple structural properties: degrees, regularity, forests.
 
 use crate::graph::{Graph, Vertex};
 
@@ -36,30 +35,6 @@ pub fn is_tree(g: &Graph) -> bool {
 /// Whether the graph is a simple cycle `C_n` (connected, 2-regular).
 pub fn is_cycle_graph(g: &Graph) -> bool {
     g.n() >= 3 && crate::connectivity::is_connected(g) && g.vertices().all(|v| g.degree(v) == 2)
-}
-
-/// The degeneracy of the graph and a degeneracy ordering (repeatedly
-/// remove a minimum-degree vertex).
-pub fn degeneracy(g: &Graph) -> (usize, Vec<Vertex>) {
-    let n = g.n();
-    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(v)).collect();
-    let mut removed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut degeneracy = 0;
-    for _ in 0..n {
-        let v =
-            (0..n).filter(|&v| !removed[v]).min_by_key(|&v| (deg[v], v)).expect("vertices remain");
-        degeneracy = degeneracy.max(deg[v]);
-        removed[v] = true;
-        order.push(v);
-        for &u in g.neighbors(v) {
-            let u = u as Vertex;
-            if !removed[u] {
-                deg[u] -= 1;
-            }
-        }
-    }
-    (degeneracy, order)
 }
 
 /// Average degree `2m/n` (0 for the empty graph).
@@ -112,24 +87,5 @@ mod tests {
     fn isolated() {
         let g = Graph::from_edges(4, &[(1, 2)]);
         assert_eq!(isolated_vertices(&g), vec![0, 3]);
-    }
-
-    #[test]
-    fn degeneracy_of_tree_is_one() {
-        let t = Graph::from_edges(5, &[(0, 1), (1, 2), (1, 3), (3, 4)]);
-        let (d, order) = degeneracy(&t);
-        assert_eq!(d, 1);
-        assert_eq!(order.len(), 5);
-    }
-
-    #[test]
-    fn degeneracy_of_complete_graph() {
-        let mut g = Graph::new(5);
-        for u in 0..5 {
-            for v in (u + 1)..5 {
-                g.add_edge(u, v);
-            }
-        }
-        assert_eq!(degeneracy(&g).0, 4);
     }
 }

@@ -96,17 +96,6 @@ impl InducedSubgraph {
     }
 }
 
-/// Convenience: the induced subgraph on the ball `N^r[v]`, as used by
-/// every "local" predicate of the paper.
-pub fn ball_subgraph(g: &Graph, v: Vertex, r: u32) -> InducedSubgraph {
-    InducedSubgraph::new(g, &crate::bfs::ball(g, v, r))
-}
-
-/// Convenience: the induced subgraph on `N^r[S]`.
-pub fn ball_subgraph_of_set(g: &Graph, s: &[Vertex], r: u32) -> InducedSubgraph {
-    InducedSubgraph::new(g, &crate::bfs::ball_of_set(g, s, r))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,18 +133,5 @@ mod tests {
         let sub = InducedSubgraph::new(&g, &[1, 1, 0]);
         assert_eq!(sub.graph.n(), 2);
         assert!(sub.graph.has_edge(0, 1));
-    }
-
-    #[test]
-    fn ball_subgraph_matches_manual() {
-        let mut b = GraphBuilder::new();
-        let vs = b.fresh_vertices(8);
-        b.path(&vs);
-        let g = b.build();
-        let sub = ball_subgraph(&g, 4, 2);
-        assert_eq!(sub.host_vertices(), &[2, 3, 4, 5, 6]);
-        assert_eq!(sub.graph.m(), 4);
-        let sub2 = ball_subgraph_of_set(&g, &[0, 7], 1);
-        assert_eq!(sub2.host_vertices(), &[0, 1, 6, 7]);
     }
 }

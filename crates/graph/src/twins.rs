@@ -11,16 +11,9 @@
 //! `MDS(G⁻) = MDS(G)`, tested here and property-tested downstream.
 
 use crate::graph::{Graph, Vertex};
+use crate::par;
 use crate::scratch::{with_thread_scratch, Scratch};
 use crate::subgraph::InducedSubgraph;
-
-/// Below this vertex count the neighborhood-hash fill stays
-/// single-threaded: spawning scoped workers costs more than hashing the
-/// whole (small) graph. Above it the fill shards into disjoint key
-/// ranges — each worker hashes the CSR rows of its own vertex range, so
-/// the computed keys (and everything downstream) are identical for
-/// every worker count.
-const HASH_PARALLEL_THRESHOLD: usize = 1 << 15;
 
 /// SplitMix64 finalizer: the per-element mixer of the commutative
 /// neighborhood hash.
@@ -87,12 +80,7 @@ pub fn twin_representatives_with(g: &Graph, scratch: &mut Scratch) -> Vec<Vertex
     if scratch.key.len() < n {
         scratch.key.resize(n, 0);
     }
-    let workers = if n >= HASH_PARALLEL_THRESHOLD {
-        std::thread::available_parallelism().map_or(1, |c| c.get()).min(8)
-    } else {
-        1
-    };
-    fill_neighborhood_keys(g, &mut scratch.key[..n], workers);
+    fill_neighborhood_keys(g, &mut scratch.key[..n]);
     // The scratch queue doubles as the hash-sorted vertex order.
     scratch.queue.clear();
     scratch.queue.extend(0..n);
@@ -124,36 +112,23 @@ pub fn twin_representatives_with(g: &Graph, scratch: &mut Scratch) -> Vec<Vertex
 }
 
 /// Fills `keys[v]` with the commutative closed-neighborhood hash of `v`
-/// for every `v < keys.len()`, sharded across `workers` scoped threads
-/// (each worker hashes the CSR rows of its own disjoint vertex range,
-/// so the output is identical for every worker count).
-fn fill_neighborhood_keys(g: &Graph, keys: &mut [u64], workers: usize) {
-    let n = keys.len();
-    let hash_of = |v: Vertex| {
-        let mut h = mix(v as u64);
-        for &u in g.neighbors(v) {
-            h = h.wrapping_add(mix(u as u64));
-        }
-        h
-    };
-    if workers > 1 && n > 1 {
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (ci, out) in keys.chunks_mut(chunk).enumerate() {
-                let start = ci * chunk;
-                let hash_of = &hash_of;
-                scope.spawn(move || {
-                    for (j, slot) in out.iter_mut().enumerate() {
-                        *slot = hash_of(start + j);
-                    }
-                });
+/// for every `v < keys.len()`. Each key reads only its own CSR row, so
+/// the [`par::fill`] split leaves the keys identical for every worker
+/// count.
+fn fill_neighborhood_keys(g: &Graph, keys: &mut [u64]) {
+    let workers = par::workers(keys.len(), par::SWEEP_GRAIN);
+    par::fill(
+        keys,
+        workers,
+        || (),
+        |_, v| {
+            let mut h = mix(v as u64);
+            for &u in g.neighbors(v) {
+                h = h.wrapping_add(mix(u as u64));
             }
-        });
-    } else {
-        for (v, slot) in keys.iter_mut().enumerate() {
-            *slot = hash_of(v);
-        }
-    }
+            h
+        },
+    );
 }
 
 /// The canonical twin-free reduction of a graph.
@@ -199,18 +174,18 @@ mod tests {
     #[test]
     fn sharded_key_fill_matches_sequential() {
         // The parallel fill must be observation-free: identical keys for
-        // every worker count (forced here, since the production gate may
-        // resolve to one worker on small machines).
+        // every worker count (forced here, since the automatic policy
+        // resolves to one worker below the sweep grain).
         let g = crate::Graph::from_edges(
             101,
             &(0..100).map(|i| (i, i + 1)).chain([(0, 50), (3, 97)]).collect::<Vec<_>>(),
         );
         let mut seq = vec![0u64; g.n()];
-        fill_neighborhood_keys(&g, &mut seq, 1);
+        par::with_workers(1, || fill_neighborhood_keys(&g, &mut seq));
         for workers in [2, 4, 7] {
-            let mut par = vec![0u64; g.n()];
-            fill_neighborhood_keys(&g, &mut par, workers);
-            assert_eq!(seq, par, "workers={workers}");
+            let mut sharded = vec![0u64; g.n()];
+            par::with_workers(workers, || fill_neighborhood_keys(&g, &mut sharded));
+            assert_eq!(seq, sharded, "workers={workers}");
         }
     }
 

@@ -377,28 +377,6 @@ pub fn cuts_cross(g: &Graph, c1: (Vertex, Vertex), c2: (Vertex, Vertex)) -> bool
     split(c2, c1) && split(c1, c2)
 }
 
-/// Greedily partitions `cuts` into pairwise non-crossing families
-/// (first-fit). The paper's Corollary 5.9 shows three families always
-/// suffice for interesting cuts (via SPQR trees); this greedy
-/// constructive check is what the Lemma 3.3 experiments verify against.
-pub fn partition_noncrossing(g: &Graph, cuts: &[(Vertex, Vertex)]) -> Vec<Vec<(Vertex, Vertex)>> {
-    let mut families: Vec<Vec<(Vertex, Vertex)>> = Vec::new();
-    for &c in cuts {
-        let mut placed = false;
-        for fam in &mut families {
-            if fam.iter().all(|&d| !cuts_cross(g, c, d)) {
-                fam.push(c);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            families.push(vec![c]);
-        }
-    }
-    families
-}
-
 #[cfg(test)]
 mod crossing_tests {
     use super::*;
@@ -422,8 +400,6 @@ mod crossing_tests {
                 assert!(cuts_cross(&g, a, b), "{a:?} vs {b:?}");
             }
         }
-        let fams = partition_noncrossing(&g, &cuts);
-        assert_eq!(fams.len(), 3);
     }
 
     #[test]
@@ -433,8 +409,6 @@ mod crossing_tests {
         let g = cycle(8);
         assert!(!cuts_cross(&g, (0, 4), (1, 3)));
         assert!(cuts_cross(&g, (0, 4), (2, 6)));
-        let fams = partition_noncrossing(&g, &[(0, 4), (1, 3), (2, 6)]);
-        assert_eq!(fams.len(), 2);
     }
 
     #[test]
@@ -446,11 +420,15 @@ mod crossing_tests {
     #[test]
     fn diameter_cuts_on_c8_need_four_families() {
         // Taking ALL opposite cuts is the wrong selection: on C8 they
-        // pairwise cross and the greedy partition needs 4 families —
-        // exactly why Proposition 5.8 picks a smarter set.
+        // pairwise cross, so any non-crossing partition needs 4
+        // families — exactly why Proposition 5.8 picks a smarter set.
         let g = cycle(8);
         let all_opposite: Vec<(Vertex, Vertex)> = (0..4).map(|i| (i, i + 4)).collect();
-        assert_eq!(partition_noncrossing(&g, &all_opposite).len(), 4);
+        for (i, &a) in all_opposite.iter().enumerate() {
+            for &b in &all_opposite[i + 1..] {
+                assert!(cuts_cross(&g, a, b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]
@@ -482,11 +460,6 @@ mod crossing_tests {
                 covered[b] = true;
             }
             assert!(covered.iter().all(|&c| c), "C_{k}: {covered:?}");
-            // The greedy packing of the union uses ≤ 3 families
-            // (Corollary 5.9's budget).
-            let union: Vec<(Vertex, Vertex)> = p1.iter().chain(&p2).copied().collect();
-            let fams = partition_noncrossing(&g, &union);
-            assert!(fams.len() <= 3, "C_{k}: {} families", fams.len());
         }
     }
 }

@@ -94,7 +94,7 @@ pub struct NodeCtx {
 /// messages.
 ///
 /// The contract every implementation must satisfy (it is what makes the
-/// three runtimes interchangeable):
+/// runtimes interchangeable):
 ///
 /// * **Deterministic**: `init`, `send`, `receive`, and `decide` are pure
 ///   functions of their arguments.

@@ -101,9 +101,15 @@ pub struct FaultConfig {
     /// Crash-stop policy.
     pub crash: CrashPolicy,
     /// Maximum staleness (rounds) of a delivered message; 0 = fully
-    /// synchronous.
+    /// synchronous. The parser accepts at most [`MAX_SKEW`].
     pub skew: u32,
 }
+
+/// The largest skew [`FaultConfig::from_str`] accepts. The fault
+/// experiments use skew ≤ 3; the bound keeps a skew arriving as text
+/// (a daemon request) from inflating round caps into runs that never
+/// end.
+pub const MAX_SKEW: u32 = 64;
 
 impl FaultConfig {
     /// Whether any fault is actually injected. The seed alone is inert.
@@ -118,7 +124,7 @@ impl FaultConfig {
     /// extra rounds). Zero when no fault is active.
     pub fn grace(&self) -> u32 {
         if self.is_active() {
-            6 + 2 * self.skew
+            self.skew.saturating_mul(2).saturating_add(6)
         } else {
             0
         }
@@ -233,6 +239,12 @@ impl FromStr for FaultConfig {
                     cfg.skew = value
                         .parse()
                         .map_err(|_| ParseFaultError(format!("bad skew {value:?}")))?;
+                    if cfg.skew > MAX_SKEW {
+                        return Err(ParseFaultError(format!(
+                            "skew {} exceeds the maximum {MAX_SKEW}",
+                            cfg.skew
+                        )));
+                    }
                 }
                 other => return Err(ParseFaultError(format!("unknown key {other:?}"))),
             }
@@ -472,8 +484,10 @@ impl FaultyRuntime {
         }
         let mut round = 0u32;
         // Message history ring: round `r`'s messages live at slot
-        // `(r − 1) % depth`; skew never reaches past `depth` rounds.
-        let depth = self.config.skew as usize + 1;
+        // `(r − 1) % depth`; staleness is at most `min(skew, round − 1)`
+        // with `round ≤ max_rounds`, so it never reaches past `depth`
+        // rounds (and a huge hand-built skew allocates nothing extra).
+        let depth = self.config.skew.min(max_rounds) as usize + 1;
         let mut history: Vec<Vec<Option<A::Message>>> = Vec::with_capacity(depth);
         let mut inbox: Vec<A::Message> = Vec::new();
         loop {
@@ -780,5 +794,23 @@ mod tests {
         assert!("drop=sometimes:1".parse::<FaultConfig>().is_err());
         assert!("crash=random:nope".parse::<FaultConfig>().is_err());
         assert!("frobnicate=1".parse::<FaultConfig>().is_err());
+    }
+
+    #[test]
+    fn skew_is_bounded_at_parse_and_safe_when_hand_built() {
+        let max: FaultConfig = format!("skew={MAX_SKEW}").parse().expect("the maximum parses");
+        assert_eq!(max.skew, MAX_SKEW);
+        for too_big in [MAX_SKEW + 1, u32::MAX] {
+            let err = format!("skew={too_big}").parse::<FaultConfig>().unwrap_err();
+            assert!(err.to_string().contains("exceeds the maximum"), "{err}");
+        }
+        // A hand-built skew past the parser's bound: the grace budget
+        // saturates and the history ring is sized by the round cap.
+        let huge = FaultConfig { skew: u32::MAX, ..FaultConfig::default() };
+        assert_eq!(huge.grace(), u32::MAX);
+        let g = corpus().remove(2);
+        let ids = IdAssignment::shuffled(g.n(), 4);
+        let run = FaultyRuntime::new(huge).run_with_report(&g, &ids, &MinIdRadius2, 32).unwrap();
+        assert!(run.outputs.iter().all(|o| o.is_some()));
     }
 }

@@ -83,7 +83,7 @@ pub mod view;
 pub use algorithm::{LocalAlgorithm, NodeCtx};
 pub use fault::{
     CrashPolicy, DropPolicy, FaultConfig, FaultPlan, FaultReport, FaultyRun, FaultyRuntime,
-    ParseFaultError,
+    ParseFaultError, MAX_SKEW,
 };
 pub use ids::{IdAssignment, IdPolicy};
 pub use runtime::{

@@ -9,19 +9,21 @@
 //!   algorithms project via [`oracle_view`]), otherwise by replaying the
 //!   state machine inside the ball `N^k[v]` — provably the same state,
 //!   no global message schedule.
-//! * [`ShardedOracleRuntime`] — the oracle semantics sharded across
-//!   scoped worker threads, each warming the thread-local
-//!   [`Scratch`](lmds_graph::Scratch) pool once per run; bit-identical
+//! * [`ShardedOracleRuntime`] — the same per-vertex oracle loop on
+//!   several worker threads ([`lmds_graph::par`]); bit-identical
 //!   outputs (all algorithms are deterministic).
+//! * [`FaultyRuntime`](crate::FaultyRuntime) — message passing behind a
+//!   seeded fault plan; bit-identical to [`MessagePassingRuntime`] when
+//!   the plan is empty.
 //!
-//! [`RuntimeKind`] names the three backends for configuration layers
+//! [`RuntimeKind`] names the four backends for configuration layers
 //! (the `lmds-api` crate selects runtimes by kind), and the [`Runtime`]
 //! trait is the common execution contract.
 
 use crate::algorithm::{LocalAlgorithm, NodeCtx};
 use crate::ids::IdAssignment;
 use crate::view::LocalView;
-use lmds_graph::{bfs, Graph};
+use lmds_graph::{bfs, par, Graph};
 use std::error::Error;
 use std::fmt;
 
@@ -456,8 +458,45 @@ fn state_at<A: LocalAlgorithm>(
     }
 }
 
+/// The oracle execution loop shared by [`OracleRuntime`] (one worker)
+/// and [`ShardedOracleRuntime`] (`workers` threads).
+///
+/// Under oracle semantics a vertex's decision round depends only on the
+/// network, never on other vertices' decisions — so no per-round
+/// barrier is needed: [`par::drain`] hands out vertices, and each scans
+/// its rounds `0..=max_rounds` until it decides. Every worker pre-warms
+/// its thread-local [`Scratch`](lmds_graph::Scratch) to the graph size
+/// once per run, so the per-vertex ball queries run allocation-free.
+fn run_oracle<A: LocalAlgorithm>(
+    g: &Graph,
+    ids: &IdAssignment,
+    algo: &A,
+    max_rounds: u32,
+    workers: usize,
+) -> Result<RunResult<A::Output>, RuntimeError> {
+    check_sizes(g, ids)?;
+    let n = g.n();
+    let decisions = par::drain(
+        n,
+        workers,
+        || lmds_graph::scratch::with_thread_scratch(|s| s.reserve(n)),
+        |_, v| {
+            (0..=max_rounds).find_map(|round| {
+                algo.decide(&state_at(g, ids, algo, v, round), round).map(|o| (round, o))
+            })
+        },
+    );
+    let undecided = decisions.iter().filter(|d| d.is_none()).count();
+    if undecided > 0 {
+        return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided });
+    }
+    let (decided_at, outputs) = decisions.into_iter().flatten().map(|(r, o)| (r, Some(o))).unzip();
+    Ok(finalize(outputs, decided_at, MessageAccounting::NotApplicable))
+}
+
 /// Oracle execution: per-vertex states computed directly (projection or
-/// ball replay); no messages exchanged, so no bit accounting.
+/// ball replay) on the caller's thread; no messages exchanged, so no bit
+/// accounting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OracleRuntime;
 
@@ -473,55 +512,16 @@ impl Runtime for OracleRuntime {
         algo: &A,
         max_rounds: u32,
     ) -> Result<RunResult<A::Output>, RuntimeError> {
-        check_sizes(g, ids)?;
-        let n = g.n();
-        let mut outputs: Vec<Option<A::Output>> = vec![None; n];
-        let mut decided_at = vec![0u32; n];
-        let mut undecided: Vec<usize> = Vec::new();
-        for (v, out) in outputs.iter_mut().enumerate() {
-            match algo.decide(&state_at(g, ids, algo, v, 0), 0) {
-                Some(o) => *out = Some(o),
-                None => undecided.push(v),
-            }
-        }
-        let mut round = 0u32;
-        while !undecided.is_empty() {
-            if round >= max_rounds {
-                return Err(RuntimeError::RoundLimitExceeded {
-                    limit: max_rounds,
-                    undecided: undecided.len(),
-                });
-            }
-            round += 1;
-            let mut still = Vec::new();
-            for &v in &undecided {
-                match algo.decide(&state_at(g, ids, algo, v, round), round) {
-                    Some(o) => {
-                        outputs[v] = Some(o);
-                        decided_at[v] = round;
-                    }
-                    None => still.push(v),
-                }
-            }
-            undecided = still;
-        }
-        Ok(finalize(outputs, decided_at, MessageAccounting::NotApplicable))
+        run_oracle(g, ids, algo, max_rounds, 1)
     }
 }
 
-/// Oracle semantics sharded across scoped worker threads.
-///
-/// Under oracle semantics a vertex's decision round depends only on the
-/// network, never on other vertices' decisions — so no per-round
-/// barrier is needed: one scope of workers drains the vertices off a
-/// shared counter, and each worker scans its vertex's rounds
-/// `0..=max_rounds` until it decides. Every worker pre-warms its
-/// thread-local [`Scratch`](lmds_graph::Scratch) to the graph size once
-/// per run, so the per-vertex ball queries run allocation-free; outputs
-/// are bit-identical to [`OracleRuntime`].
+/// Oracle semantics on `threads` scoped worker threads: the same
+/// per-vertex loop as [`OracleRuntime`], so outputs are bit-identical
+/// to it (all algorithms are deterministic).
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedOracleRuntime {
-    /// Worker threads (clamped to ≥ 1).
+    /// Worker threads (clamped to `1..=n`).
     pub threads: usize,
 }
 
@@ -537,57 +537,7 @@ impl Runtime for ShardedOracleRuntime {
         algo: &A,
         max_rounds: u32,
     ) -> Result<RunResult<A::Output>, RuntimeError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        check_sizes(g, ids)?;
-        let n = g.n();
-        let threads = self.threads.max(1).min(n.max(1));
-        // Slot v = Some((decision round, output)), or None if the vertex
-        // never decided within the cap.
-        type Slots<O> = Mutex<Vec<Option<(u32, O)>>>;
-        let slots: Slots<A::Output> = Mutex::new((0..n).map(|_| None).collect());
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    lmds_graph::scratch::with_thread_scratch(|s| s.reserve(n));
-                    loop {
-                        let v = next.fetch_add(1, Ordering::Relaxed);
-                        if v >= n {
-                            break;
-                        }
-                        let mut outcome = None;
-                        for round in 0..=max_rounds {
-                            let state = state_at(g, ids, algo, v, round);
-                            if let Some(o) = algo.decide(&state, round) {
-                                outcome = Some((round, o));
-                                break;
-                            }
-                        }
-                        slots.lock().expect("sharded-oracle mutex")[v] = outcome;
-                    }
-                });
-            }
-        });
-        let mut outputs: Vec<Option<A::Output>> = Vec::with_capacity(n);
-        let mut decided_at = vec![0u32; n];
-        let mut undecided = 0usize;
-        for (v, slot) in slots.into_inner().expect("sharded-oracle mutex").into_iter().enumerate() {
-            match slot {
-                Some((round, o)) => {
-                    decided_at[v] = round;
-                    outputs.push(Some(o));
-                }
-                None => {
-                    undecided += 1;
-                    outputs.push(None);
-                }
-            }
-        }
-        if undecided > 0 {
-            return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided });
-        }
-        Ok(finalize(outputs, decided_at, MessageAccounting::NotApplicable))
+        run_oracle(g, ids, algo, max_rounds, self.threads)
     }
 }
 

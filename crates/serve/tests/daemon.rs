@@ -175,6 +175,19 @@ fn fault_scenarios_ride_solve_and_replay_their_reports() {
             "config": {"mode": "local-oracle", "fault": "skew=2"}}"#,
     );
     assert_eq!(mismatch.status, 422, "{}", String::from_utf8_lossy(&mismatch.body));
+
+    // A skew past the parser's bound is a typed 422, not an allocation
+    // abort that takes the daemon down: the next request is served.
+    let huge = send(
+        addr,
+        "POST",
+        "/solve",
+        br#"{"graph": "outer40", "solver": "mds/theorem44",
+            "config": {"mode": "local-faulty", "fault": "skew=4294967295"}}"#,
+    );
+    assert_eq!(huge.status, 422, "{}", String::from_utf8_lossy(&huge.body));
+    assert_eq!(huge.json().get("code").unwrap().as_str(), Some("invalid-config"));
+    assert_eq!(send(addr, "POST", "/solve", solve).status, 200, "the daemon keeps serving");
     handle.shutdown();
 }
 
