@@ -32,36 +32,18 @@ pub struct BatchRecord {
     pub result: Result<Solution, SolveError>,
 }
 
-/// Fans (job × instance) cells across worker threads. Output order is
-/// deterministic — `records[j * instances.len() + i]` is job `j` on
-/// instance `i` — regardless of scheduling.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchRunner {
-    threads: usize,
-}
-
-impl Default for BatchRunner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Fans (job × instance) cells across worker threads, as many as the
+/// [`par::workers`] policy grants (the machine's parallelism, capped at
+/// 8; a cell is a whole solve, so a single one clears the grain).
+/// Output order is deterministic — `records[j * instances.len() + i]`
+/// is job `j` on instance `i` — regardless of scheduling.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BatchRunner;
 
 impl BatchRunner {
-    /// A runner sized to the machine by the [`par::workers`] policy
-    /// (the machine's parallelism, capped at 8). A cell is a whole
-    /// solve, so a single one clears the grain.
+    /// A runner sized to the machine by the [`par::workers`] policy.
     pub fn new() -> Self {
-        BatchRunner { threads: par::workers(1, 1) }
-    }
-
-    /// A runner with an explicit thread count (≥ 1).
-    pub fn with_threads(threads: usize) -> Self {
-        BatchRunner { threads: threads.max(1) }
-    }
-
-    /// The worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
+        BatchRunner
     }
 
     /// Runs every job against every instance. Errors are per-record
@@ -72,9 +54,9 @@ impl BatchRunner {
     /// pre-sized here to the largest instance of the batch — so the
     /// solver loop reuses one set of traversal buffers per worker
     /// instead of allocating per call. Distributed jobs share the same
-    /// pools: the oracle runtime's per-vertex ball queries run on the
-    /// worker's warmed scratch, and a sharded-oracle job's shard
-    /// threads warm their own scratch once per solve.
+    /// pools: the oracle's per-vertex ball queries run on the worker's
+    /// warmed scratch, or, when the oracle spreads a large instance
+    /// over workers of its own, on theirs, warmed once per solve.
     pub fn run(
         &self,
         registry: &SolverRegistry,
@@ -82,9 +64,10 @@ impl BatchRunner {
         instances: &[Instance],
     ) -> Vec<BatchRecord> {
         let max_n = instances.iter().map(Instance::n).max().unwrap_or(0);
+        let cells = jobs.len() * instances.len();
         par::drain(
-            jobs.len() * instances.len(),
-            self.threads,
+            cells,
+            par::workers(cells, 1),
             || lmds_graph::scratch::with_thread_scratch(|s| s.reserve(max_n)),
             |_, cell| {
                 let (job, inst) =
@@ -131,8 +114,8 @@ mod tests {
             ),
         ];
         let instances = corpus();
-        let a = BatchRunner::with_threads(4).run(&registry, &jobs, &instances);
-        let b = BatchRunner::with_threads(1).run(&registry, &jobs, &instances);
+        let a = par::with_workers(4, || BatchRunner::new().run(&registry, &jobs, &instances));
+        let b = par::with_workers(1, || BatchRunner::new().run(&registry, &jobs, &instances));
         assert_eq!(a.len(), 6);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.instance, y.instance);

@@ -1,5 +1,5 @@
 //! The uniform solve configuration: problem, execution mode, LOCAL
-//! scenario (identifier policy, round cap, shard threads), radii,
+//! scenario (identifier policy, round cap, fault plan), radii,
 //! ablation options — one builder shared by every solver.
 
 use lmds_asdim::ControlFunction;
@@ -37,12 +37,12 @@ impl std::fmt::Display for Problem {
 }
 
 /// How a solver executes: the centralized reference, or a LOCAL
-/// simulation on one of the pluggable [`RuntimeKind`] backends.
+/// simulation on the engine a [`RuntimeKind`] names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// Centralized reference implementation (no simulator).
     Centralized,
-    /// LOCAL simulation on the named runtime backend.
+    /// LOCAL simulation on the engine the kind names.
     Local(RuntimeKind),
 }
 
@@ -53,11 +53,13 @@ impl ExecutionMode {
     /// Faithful synchronous message passing (message bits accounted).
     pub const LOCAL_MESSAGE_PASSING: ExecutionMode =
         ExecutionMode::Local(RuntimeKind::MessagePassing);
-    /// Oracle semantics sharded across worker threads (bit-identical
-    /// outputs).
+    /// The oracle engine under its `sharded-oracle` name: same engine,
+    /// same outputs as [`ExecutionMode::LOCAL_ORACLE`] (the oracle
+    /// picks its worker count itself).
     pub const LOCAL_SHARDED: ExecutionMode = ExecutionMode::Local(RuntimeKind::ShardedOracle);
-    /// Message passing under the scenario's [`FaultConfig`] (drops,
-    /// crash-stop vertices, bounded skew); bit-identical to
+    /// The message-passing engine under the scenario's [`FaultConfig`]
+    /// (drops, crash-stop vertices, bounded skew), with the fault
+    /// report attached to the solution. Same outputs as
     /// [`ExecutionMode::LOCAL_MESSAGE_PASSING`] when the plan is empty.
     pub const LOCAL_FAULTY: ExecutionMode = ExecutionMode::Local(RuntimeKind::Faulty);
 
@@ -76,7 +78,7 @@ impl ExecutionMode {
         matches!(self, ExecutionMode::Local(_))
     }
 
-    /// The runtime backend, when distributed.
+    /// The engine kind, when distributed.
     pub fn runtime(self) -> Option<RuntimeKind> {
         match self {
             ExecutionMode::Centralized => None,
@@ -95,9 +97,11 @@ impl std::fmt::Display for ExecutionMode {
 }
 
 /// The LOCAL scenario knobs: how identifiers are assigned, how many
-/// rounds the simulation may take, and how many worker threads the
-/// sharded runtime uses. Ignored by centralized runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// rounds the simulation may take, and which faults it injects. Ignored
+/// by centralized runs. Worker counts are not a knob: the engines take
+/// them from the automatic [`lmds_graph::par::workers`] policy, and no
+/// count changes any output.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ScenarioConfig {
     /// Identifier-assignment override: `None` uses the instance's own
     /// assignment, `Some(policy)` re-assigns per [`IdPolicy`]
@@ -106,27 +110,11 @@ pub struct ScenarioConfig {
     /// Upper bound on simulated rounds; `None` ⟹ a solver-specific
     /// safe default.
     pub round_cap: Option<u32>,
-    /// Worker threads for [`ExecutionMode::LOCAL_SHARDED`] (clamped to
-    /// `1..=n` at use). The phases inside a solve take their worker
-    /// counts from the automatic [`lmds_graph::par::workers`] policy
-    /// instead; no count changes any output.
-    pub threads: usize,
     /// The fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs: seeded
     /// message drops, crash-stop vertices, bounded round-asynchrony.
     /// An inactive (all-zero) plan is the default; an *active* plan on
-    /// any other runtime is rejected as unsupported options.
+    /// any other mode is rejected as unsupported options.
     pub fault: FaultConfig,
-}
-
-impl Default for ScenarioConfig {
-    fn default() -> Self {
-        ScenarioConfig {
-            id_policy: None,
-            round_cap: None,
-            threads: 4,
-            fault: FaultConfig::default(),
-        }
-    }
 }
 
 /// The uniform configuration every [`crate::Solver::solve`] call takes.
@@ -152,7 +140,7 @@ pub struct SolveConfig {
     pub problem: Problem,
     /// Execution mode; solvers reject unsupported modes.
     pub mode: ExecutionMode,
-    /// The LOCAL scenario (id policy, round cap, shard threads).
+    /// The LOCAL scenario (id policy, round cap, fault plan).
     pub scenario: ScenarioConfig,
     /// Pipeline radii for the Algorithm 1/2 family (ignored by the
     /// 3-round and folklore solvers). [`SolveConfig::radii`] and
@@ -234,12 +222,6 @@ impl SolveConfig {
         self
     }
 
-    /// Sets the worker-thread count for the sharded runtime.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.scenario.threads = threads.max(1);
-        self
-    }
-
     /// Sets the fault plan for [`ExecutionMode::LOCAL_FAULTY`] runs.
     pub fn fault(mut self, fault: FaultConfig) -> Self {
         self.scenario.fault = fault;
@@ -304,13 +286,11 @@ mod tests {
     fn builder_chains() {
         let cfg = SolveConfig::mvc()
             .mode(ExecutionMode::LOCAL_SHARDED)
-            .threads(0)
             .round_cap(7)
             .opt_budget(10)
             .id_policy(IdPolicy::Sequential);
         assert_eq!(cfg.problem, Problem::MinVertexCover);
         assert_eq!(cfg.mode, ExecutionMode::Local(lmds_localsim::RuntimeKind::ShardedOracle));
-        assert_eq!(cfg.scenario.threads, 1, "threads clamp to ≥ 1");
         assert_eq!(cfg.scenario.round_cap, Some(7));
         assert_eq!(cfg.scenario.id_policy, Some(IdPolicy::Sequential));
         assert_eq!(cfg.opt_budget, 10);

@@ -14,8 +14,8 @@
 //!   truth,
 //! * [`SolveConfig`] — problem ([`Problem::MinDominatingSet`] or
 //!   [`Problem::MinVertexCover`]), [`ExecutionMode`], the LOCAL
-//!   [`ScenarioConfig`] (identifier [`IdPolicy`], round cap, shard
-//!   threads), radii, ablation options,
+//!   [`ScenarioConfig`] (identifier [`IdPolicy`], round cap, fault
+//!   plan), radii, ablation options,
 //! * [`Solution`] — vertex set, validity [`Certificate`], measured
 //!   ratio, round count, [`MessageStats`] (message-bit accounting +
 //!   decided-at histogram), wall time, and [`PipelineDiagnostics`].
@@ -24,9 +24,10 @@
 //! `ExecutionMode::Local(kind)` solve runs a first-class
 //! `lmds_localsim::LocalAlgorithm` (native typed-message state machines
 //! for the explicit-round algorithms, view deciders for the adaptive
-//! pipeline) on the pluggable runtime backend `kind` names — faithful
-//! message passing, oracle, or the sharded oracle pooled on per-thread
-//! scratch workspaces. All backends produce bit-identical solutions.
+//! pipeline) on the engine `kind` names — faithful message passing
+//! (optionally under a seeded fault plan) or the oracle, pooled on
+//! per-thread scratch workspaces. Without faults both engines produce
+//! bit-identical solutions.
 //!
 //! # Quickstart
 //!

@@ -14,7 +14,9 @@ use lmds_core::mvc::algorithm1_mvc;
 use lmds_core::theorem44::{theorem44_mds, theorem44_mvc};
 use lmds_core::{algorithm1_with, baselines, PipelineOptions, Radii};
 use lmds_graph::Vertex;
-use lmds_localsim::{FaultReport, FaultyRuntime, LocalAlgorithm, RuntimeError, RuntimeKind};
+use lmds_localsim::{
+    FaultReport, LocalAlgorithm, MessagePassingRuntime, OracleRuntime, RuntimeError, RuntimeKind,
+};
 use std::time::Instant;
 
 /// Why a solve call failed.
@@ -217,14 +219,17 @@ fn local_round_cap(cfg: &SolveConfig, default: u32) -> u32 {
 }
 
 /// Runs a boolean [`LocalAlgorithm`] under the config's LOCAL scenario:
-/// resolves the runtime backend from the mode, applies the identifier
-/// policy (instance ids unless overridden), and converts the result to
+/// resolves the engine from the mode, applies the identifier policy
+/// (instance ids unless overridden), and converts the result to
 /// (vertices, rounds, message stats, fault report).
 ///
-/// The faulty backend takes the scenario's [`FaultConfig`] and reports
-/// what the plan did; crashed-undecided vertices are *silent* — absent
-/// from the vertex set and named in the report rather than failing the
-/// run. An active fault plan on any other backend is rejected.
+/// The message-passing engine runs the scenario's [`FaultConfig`];
+/// crashed-undecided vertices are *silent* — absent from the vertex set
+/// and named in the report rather than failing the run. The report is
+/// attached under `local-faulty` only, and an active fault plan on any
+/// other kind is rejected.
+///
+/// [`FaultConfig`]: lmds_localsim::FaultConfig
 fn run_local<A: LocalAlgorithm<Output = bool>>(
     solver: &'static str,
     inst: &Instance,
@@ -236,7 +241,8 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         .mode
         .runtime()
         .unwrap_or_else(|| unreachable!("run_local is only called for ExecutionMode::Local"));
-    if cfg.scenario.fault.is_active() && kind != RuntimeKind::Faulty {
+    let faulty = kind == RuntimeKind::Faulty;
+    if cfg.scenario.fault.is_active() && !faulty {
         return Err(SolveError::UnsupportedOptions {
             solver,
             reason: format!(
@@ -253,25 +259,19 @@ fn run_local<A: LocalAlgorithm<Output = bool>>(
         }
         None => &inst.ids,
     };
-    if kind == RuntimeKind::Faulty {
-        let rt = FaultyRuntime::new(cfg.scenario.fault);
-        let run = rt
-            .run_with_report(&inst.graph, ids, algo, cap)
-            .map_err(|(e, report)| SolveError::Runtime(e, Some(report)))?;
-        let vertices: Vec<Vertex> = run
-            .outputs
-            .iter()
-            .enumerate()
-            .filter_map(|(v, o)| matches!(o, Some(true)).then_some(v))
-            .collect();
-        let stats = MessageStats { accounting: run.messages, decided_at: run.decided_histogram() };
-        return Ok((vertices, Some(run.rounds), Some(stats), Some(run.report)));
+    if !kind.measures_messages() {
+        let res = OracleRuntime.run(&inst.graph, ids, algo, cap)?;
+        let vertices = res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v));
+        let stats = MessageStats { accounting: res.messages, decided_at: res.decided_histogram() };
+        return Ok((vertices.collect(), Some(res.rounds), Some(stats), None));
     }
-    let res = kind.run(&inst.graph, ids, algo, cap, cfg.scenario.threads)?;
-    let vertices: Vec<Vertex> =
-        res.outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect();
-    let stats = MessageStats { accounting: res.messages, decided_at: res.decided_histogram() };
-    Ok((vertices, Some(res.rounds), Some(stats), None))
+    let run = MessagePassingRuntime { fault: cfg.scenario.fault }
+        .run_with_report(&inst.graph, ids, algo, cap)
+        .map_err(|(e, report)| SolveError::Runtime(e, faulty.then_some(report)))?;
+    let vertices =
+        run.outputs.iter().enumerate().filter_map(|(v, o)| (*o == Some(true)).then_some(v));
+    let stats = MessageStats { accounting: run.messages, decided_at: run.decided_histogram() };
+    Ok((vertices.collect(), Some(run.rounds), Some(stats), faulty.then_some(run.report)))
 }
 
 /// Attaches a measured optimum when the config asks for one and ground

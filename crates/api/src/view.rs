@@ -113,8 +113,6 @@ pub struct SolveConfigView {
     pub id_seed: Option<u64>,
     /// LOCAL round cap.
     pub round_cap: Option<u32>,
-    /// Sharded-runtime worker threads.
-    pub threads: Option<usize>,
     /// Pipeline radii `(one_cut, two_cut)`.
     pub radii: Option<(u32, u32)>,
     /// Exact-engine backend in `Display` form (`"auto"`,
@@ -148,7 +146,6 @@ impl SolveConfigView {
             id_policy,
             id_seed,
             round_cap: cfg.scenario.round_cap,
-            threads: Some(cfg.scenario.threads),
             radii: Some((cfg.radii.one_cut, cfg.radii.two_cut)),
             exact_backend: Some(cfg.exact_backend.to_string()),
             opt_budget: Some(cfg.opt_budget),
@@ -193,12 +190,6 @@ impl SolveConfigView {
             return Err(ViewError::new("id_seed", "id_seed given without an id_policy"));
         }
         cfg.scenario.round_cap = self.round_cap;
-        if let Some(threads) = self.threads {
-            if threads == 0 {
-                return Err(ViewError::new("threads", "thread count must be ≥ 1"));
-            }
-            cfg.scenario.threads = threads;
-        }
         if let Some((one_cut, two_cut)) = self.radii {
             if one_cut < 1 || two_cut < 2 {
                 return Err(ViewError::new(
@@ -323,7 +314,6 @@ mod tests {
             id_policy: Some("adversarial".into()),
             id_seed: Some(9),
             round_cap: Some(32),
-            threads: Some(2),
             radii: Some((3, 4)),
             exact_backend: Some("treewidth".into()),
             opt_budget: Some(1234),
@@ -368,10 +358,6 @@ mod tests {
         assert_eq!(
             bad(SolveConfigView { id_seed: Some(1), ..Default::default() }).field,
             "id_seed"
-        );
-        assert_eq!(
-            bad(SolveConfigView { threads: Some(0), ..Default::default() }).field,
-            "threads"
         );
         let e = bad(SolveConfigView { radii: Some((0, 1)), ..Default::default() });
         assert_eq!(e.field, "radii");

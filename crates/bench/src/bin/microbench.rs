@@ -9,9 +9,9 @@
 //! * `--kernel` — the graph-kernel benches (ball queries, twin
 //!   reduction, full registry sweep) tracking the CSR/scratch
 //!   substrate; before/after numbers in `results/kernel_speedup.md`.
-//! * `--local` — the LOCAL runtime backends on representative
-//!   explicit-round and adaptive solvers; committed numbers in
-//!   `results/local_microbench.md`.
+//! * `--local` — the two LOCAL engines under all four runtime names,
+//!   on representative explicit-round and adaptive solvers; committed
+//!   numbers in `results/local_microbench.md`.
 //! * `--cuts` — the `CutEngine` benches: the Definition-2.1 predicate
 //!   sweeps and the full Algorithm 1 pipeline on instances up to two
 //!   orders of magnitude past the pre-engine ceiling, plus naive
@@ -143,14 +143,14 @@ fn kernel_benches(iters: u32) -> Vec<BenchRow> {
         .collect();
     let sweep_iters = iters.min(5);
     let (stats, sum) = sample(sweep_iters, || {
-        BatchRunner::with_threads(4)
+        BatchRunner::new()
             .run(&registry, &jobs, &instances)
             .iter()
             .map(|r| r.result.as_ref().expect("sweep solve").size())
             .sum()
     });
     rows.push(BenchRow {
-        bench: format!("registry sweep ({} solvers × 3, {sweep_iters} it)", registry.len()),
+        bench: format!("registry sweep ({} solvers × 3)", registry.len()),
         workload: "batch corpus".into(),
         n: instances.iter().map(|i| i.n()).sum(),
         checksum: sum,
@@ -294,14 +294,14 @@ fn dynamic_benches(iters: u32) -> Vec<BenchRow> {
 }
 
 /// The LOCAL-runtime benches (`--local`): the distributed hot path —
-/// every runtime backend on representative explicit-round and adaptive
+/// every runtime name on representative explicit-round and adaptive
 /// solvers, with rounds and message bits alongside the timings so
 /// round/message regressions surface next to latency ones (the
 /// committed numbers live in `results/local_microbench.md`). Also
 /// returns the rows in [`BenchRow`] form, so `--local` emits
 /// `results/BENCH_local.json` in the same schema as the kernel and
 /// dynamic sections (bench = `solver@runtime`, checksum mixes the
-/// solution set and round count — bit-identical across backends).
+/// solution set and round count — bit-identical across names).
 fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
     use lmds_api::RuntimeKind;
     let mut rows: Vec<BenchRow> = Vec::new();
@@ -344,10 +344,8 @@ fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
     ];
     for (key, inst) in cases {
         for kind in RuntimeKind::ALL {
-            let cfg = SolveConfig::mds()
-                .mode(ExecutionMode::Local(kind))
-                .radii(Radii::practical(2, 3))
-                .threads(4);
+            let cfg =
+                SolveConfig::mds().mode(ExecutionMode::Local(kind)).radii(Radii::practical(2, 3));
             let mut last = None;
             let (stats_us, checksum) = sample(iters, || {
                 let sol = registry.solve(key, inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
@@ -620,7 +618,7 @@ fn main() {
         ("mds/trees-folklore", &tree, SolveConfig::mds().mode(ExecutionMode::LOCAL_ORACLE)),
         ("mds/theorem44", &outer, SolveConfig::mds()),
         ("mds/theorem44", &outer, SolveConfig::mds().mode(ExecutionMode::LOCAL_ORACLE)),
-        ("mds/theorem44", &outer, SolveConfig::mds().mode(ExecutionMode::LOCAL_SHARDED).threads(4)),
+        ("mds/theorem44", &outer, SolveConfig::mds().mode(ExecutionMode::LOCAL_SHARDED)),
         ("mds/algorithm1", &aug, SolveConfig::mds().radii(radii)),
         ("mds/algorithm1", &aug, SolveConfig::mds().radii(radii).mode(ExecutionMode::LOCAL_ORACLE)),
         ("mds/take-all", &aug, SolveConfig::mds()),

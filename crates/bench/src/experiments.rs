@@ -855,12 +855,12 @@ pub fn exp_registry_sweep() -> Table {
     t
 }
 
-/// S1 — the LOCAL sweep: every distributed registry solver executed on
-/// all three runtime backends under sequential and adversarial
-/// identifier policies, recording rounds, message bits (measured vs
-/// n/a), and the decided-at histogram. The experiment also *asserts*
-/// runtime equivalence: all backends must return the identical vertex
-/// set and round count for each (solver, instance, policy) cell.
+/// S1 — the LOCAL sweep: every distributed registry solver executed
+/// under all four runtime names (two engines) with sequential and
+/// adversarial identifier policies, recording rounds, message bits
+/// (measured vs n/a), and the decided-at histogram. The experiment also
+/// *asserts* engine equivalence: every name must return the identical
+/// vertex set and round count for each (solver, instance, policy) cell.
 pub fn exp_local_sweep() -> Table {
     use lmds_api::{IdPolicy, RuntimeKind};
     let mut t = Table::new(
@@ -896,8 +896,7 @@ pub fn exp_local_sweep() -> Table {
                     let mut cfg = SolveConfig::new(solver.problem())
                         .mode(ExecutionMode::Local(kind))
                         .radii(Radii::practical(2, 2))
-                        .id_policy(policy)
-                        .threads(3);
+                        .id_policy(policy);
                     if key == "mds/algorithm2" {
                         cfg =
                             cfg.control(lmds_asdim::ControlFunction::Affine { a: 1, b: 1, dim: 1 });
@@ -968,14 +967,14 @@ pub fn large_augmentation(target_n: usize, seed: u64) -> Instance {
 /// S2 — the large-instance LOCAL sweep the `CutEngine` unlocks:
 /// `mds/algorithm1` on instances one to two orders of magnitude past
 /// the previous n≈41 ceiling (n ≥ 500 and n ≥ 1000 augmentations, and
-/// an n ≥ 1000 sparse outerplanar graph), on both oracle backends,
+/// an n ≥ 1000 sparse outerplanar graph), under both oracle names,
 /// asserting bit-identical outputs across them.
 ///
-/// The message-passing backend is deliberately excluded here: its
+/// The message-passing engine is deliberately excluded here: its
 /// per-round view floods cost `O(Σ_v |view_v| · deg(v))` and dominate
 /// the sweep at this scale without testing anything the small-instance
-/// [`exp_local_sweep`] rows do not already pin down (all three backends
-/// are asserted bit-identical there). This experiment also stays out of
+/// [`exp_local_sweep`] rows do not already pin down (both engines are
+/// asserted bit-identical there). This experiment also stays out of
 /// the golden suite — the pre-existing `local-sweep` snapshot is the
 /// drift gate and remains byte-identical.
 pub fn exp_local_sweep_large() -> Table {
@@ -995,10 +994,8 @@ pub fn exp_local_sweep_large() -> Table {
     for inst in &instances {
         let mut reference: Option<(Vec<usize>, Option<u32>)> = None;
         for kind in [RuntimeKind::Oracle, RuntimeKind::ShardedOracle] {
-            let cfg = SolveConfig::mds()
-                .mode(ExecutionMode::Local(kind))
-                .radii(Radii::practical(2, 2))
-                .threads(4);
+            let cfg =
+                SolveConfig::mds().mode(ExecutionMode::Local(kind)).radii(Radii::practical(2, 2));
             let sol = solve("mds/algorithm1", inst, &cfg);
             assert!(sol.is_valid(), "mds/algorithm1 {kind} on {}", inst.name);
             match &reference {
@@ -1986,8 +1983,8 @@ mod tests {
         let kinds = lmds_localsim::RuntimeKind::ALL.len();
         assert_eq!(t.rows.len(), distributed * 2 * 2 * kinds, "{} rows", t.rows.len());
         for row in &t.rows {
-            // The faulty runtime (with its default all-zero plan) is
-            // message passing and measures real bits too.
+            // `faulty` (with its default all-zero plan) runs the
+            // message-passing engine and measures real bits too.
             let measured = row[1] == "message-passing" || row[1] == "faulty";
             assert_eq!(row[7] != "n/a", measured, "max-bits column: {row:?}");
             assert_eq!(row[8] != "n/a", measured, "total-bits column: {row:?}");

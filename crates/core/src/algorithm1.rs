@@ -507,12 +507,12 @@ mod tests {
         // Every data-parallel phase, forced through `par::with_workers`
         // to each worker count (bypassing the grains, so these small
         // graphs take the multi-worker paths on any host), must
-        // reproduce the one-worker result exactly; the oracle runtime
-        // likewise at each thread count.
+        // reproduce the one-worker result exactly; the oracle likewise
+        // at each worker count.
         use crate::distributed::Algorithm1Decider;
         use crate::local_cuts::CutEngine;
         use lmds_graph::twins::twin_representatives;
-        use lmds_localsim::{OracleRuntime, Runtime, ShardedOracleRuntime};
+        use lmds_localsim::OracleRuntime;
         let radii = Radii::practical(2, 3);
         let phases = |g: &Graph, ids: &IdAssignment| {
             let id_vec: Vec<u64> = g.vertices().map(|v| ids.id_of(v)).collect();
@@ -545,9 +545,9 @@ mod tests {
             for workers in [1, 2, 4, 7] {
                 let got = par::with_workers(workers, || phases(g, &ids));
                 assert!(got == reference, "graph {seed}: workers={workers} changed a phase");
-                let sharded = ShardedOracleRuntime { threads: workers }
-                    .run(g, &ids, &decider, 200)
-                    .expect("sharded run decides");
+                let sharded =
+                    par::with_workers(workers, || OracleRuntime.run(g, &ids, &decider, 200))
+                        .expect("sharded run decides");
                 assert_eq!(sharded.outputs, oracle.outputs, "graph {seed}: threads={workers}");
                 assert_eq!(
                     sharded.decided_at, oracle.decided_at,

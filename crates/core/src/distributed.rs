@@ -1,5 +1,5 @@
 //! LOCAL-model algorithms for every solver, executable on the
-//! `lmds-localsim` runtimes — in two forms:
+//! `lmds-localsim` engines — in two forms:
 //!
 //! * **Native [`LocalAlgorithm`]s** for the algorithms whose round
 //!   structure is explicit in the paper: [`Theorem44Local`] (exactly 3
@@ -761,7 +761,7 @@ mod tests {
     use crate::theorem44::{theorem44_mds, theorem44_mvc};
     use lmds_graph::dominating::is_dominating_set;
     use lmds_graph::Graph;
-    use lmds_localsim::{IdAssignment, MessagePassingRuntime, OracleRuntime, Runtime, RuntimeKind};
+    use lmds_localsim::{IdAssignment, MessagePassingRuntime, OracleRuntime, RuntimeKind};
 
     fn outputs_to_set(outputs: &[bool]) -> Vec<usize> {
         outputs.iter().enumerate().filter_map(|(v, &b)| b.then_some(v)).collect()
@@ -800,7 +800,7 @@ mod tests {
     fn theorem44_is_exactly_three_rounds_on_nontrivial_graphs() {
         let g = lmds_gen::basic::path(20);
         let ids = IdAssignment::sequential(20);
-        let res = MessagePassingRuntime.run(&g, &ids, &Theorem44Decider, 10).unwrap();
+        let res = MessagePassingRuntime::default().run(&g, &ids, &Theorem44Decider, 10).unwrap();
         assert_eq!(res.rounds, 3);
         // Message size stays modest (LOCAL, but only 3 rounds deep).
         assert!(res.messages.max_bits().unwrap() > 0);
@@ -881,7 +881,7 @@ mod tests {
         let ids = IdAssignment::shuffled(g.n(), 4);
         let decider = Algorithm1Decider { radii: Radii::practical(2, 2) };
         let a = OracleRuntime.run(&g, &ids, &decider, 100).unwrap();
-        let b = MessagePassingRuntime.run(&g, &ids, &decider, 100).unwrap();
+        let b = MessagePassingRuntime::default().run(&g, &ids, &decider, 100).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.decided_at, b.decided_at);
     }
@@ -899,7 +899,7 @@ mod tests {
                 let ids = IdAssignment::shuffled(g.n(), seed);
                 let reference = OracleRuntime.run(g, &ids, decider, cap).unwrap();
                 for kind in RuntimeKind::ALL {
-                    let res = kind.run(g, &ids, native, cap, 3).unwrap();
+                    let res = kind.run(g, &ids, native, cap).unwrap();
                     assert_eq!(res.outputs, reference.outputs, "{g:?} seed={seed} {kind}");
                     assert_eq!(res.decided_at, reference.decided_at, "{g:?} seed={seed} {kind}");
                     assert_eq!(
@@ -943,8 +943,9 @@ mod tests {
         // must undercut the full-information protocol on the same run.
         let g = lmds_gen::outerplanar::random_maximal_outerplanar(24, 2);
         let ids = IdAssignment::shuffled(g.n(), 2);
-        let native = MessagePassingRuntime.run(&g, &ids, &Theorem44Local::default(), 10).unwrap();
-        let flood = MessagePassingRuntime.run(&g, &ids, &Theorem44Decider, 10).unwrap();
+        let native =
+            MessagePassingRuntime::default().run(&g, &ids, &Theorem44Local::default(), 10).unwrap();
+        let flood = MessagePassingRuntime::default().run(&g, &ids, &Theorem44Decider, 10).unwrap();
         assert_eq!(native.outputs, flood.outputs);
         assert_eq!(native.rounds, 3);
         let (nt, ft) =
@@ -973,17 +974,20 @@ mod tests {
     /// rule always wins and only the round count grows.
     #[test]
     fn theorem44_is_exact_under_pure_bounded_asynchrony() {
-        use lmds_localsim::{FaultConfig, FaultyRuntime};
+        use lmds_localsim::FaultConfig;
         let mut stale_deliveries = 0u64;
         for g in &test_graphs() {
             for seed in [0u64, 7] {
                 let ids = IdAssignment::shuffled(g.n(), seed);
-                let reference =
-                    MessagePassingRuntime.run(g, &ids, &Theorem44Local::default(), 10).unwrap();
+                let reference = MessagePassingRuntime::default()
+                    .run(g, &ids, &Theorem44Local::default(), 10)
+                    .unwrap();
                 for skew in [1u32, 2, 3] {
                     let cfg = FaultConfig { seed: 0xA5 + seed, skew, ..FaultConfig::default() };
                     let algo = Theorem44Local { grace: Some(cfg.grace()) };
-                    let run = FaultyRuntime::new(cfg).run_with_report(g, &ids, &algo, 64).unwrap();
+                    let run = MessagePassingRuntime { fault: cfg }
+                        .run_with_report(g, &ids, &algo, 64)
+                        .unwrap();
                     let outputs: Vec<bool> = run.outputs.iter().map(|o| o.unwrap()).collect();
                     assert_eq!(outputs, reference.outputs, "{g:?} seed={seed} skew={skew}");
                     assert!(run.rounds >= reference.rounds, "{g:?} seed={seed} skew={skew}");
@@ -1007,7 +1011,7 @@ mod tests {
     /// joins) and stays dominating.
     #[test]
     fn adaptive_deciders_degrade_under_drops_while_grace_absorbs_them() {
-        use lmds_localsim::{DropPolicy, FaultConfig, FaultyRuntime};
+        use lmds_localsim::{DropPolicy, FaultConfig};
         let graphs = [
             lmds_gen::basic::path(10),
             lmds_gen::ding::strip(5),
@@ -1024,7 +1028,7 @@ mod tests {
                         drop: DropPolicy::Bernoulli { per_mille },
                         ..FaultConfig::default()
                     };
-                    let rt = FaultyRuntime::new(cfg);
+                    let rt = MessagePassingRuntime { fault: cfg };
 
                     let decider = Algorithm1Decider { radii: Radii::practical(2, 2) };
                     let adaptive =
@@ -1150,7 +1154,7 @@ mod mvc_decider_tests {
     use super::*;
     use crate::mvc::algorithm1_mvc;
     use lmds_graph::vertex_cover::is_vertex_cover;
-    use lmds_localsim::{IdAssignment, OracleRuntime, Runtime};
+    use lmds_localsim::{IdAssignment, OracleRuntime};
 
     #[test]
     fn mvc_algorithm1_distributed_matches_centralized() {

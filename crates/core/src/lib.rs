@@ -19,7 +19,7 @@
 //! * **Folklore baselines** ([`baselines`]) — the other implementable
 //!   rows of Table 1.
 //!
-//! Every distributed algorithm runs on the `lmds-localsim` runtimes:
+//! Every distributed algorithm runs on the `lmds-localsim` engines:
 //! the explicit-round algorithms (Theorem 4.4 and the folklore rows) as
 //! native [`lmds_localsim::LocalAlgorithm`] round state machines with
 //! typed messages, the adaptive Algorithm 1 family as

@@ -11,12 +11,12 @@
 //! identifier ([`NodeCtx`]). In each synchronous round it broadcasts one
 //! [`LocalAlgorithm::send`] message to all neighbors, folds the incoming
 //! messages into its state with [`LocalAlgorithm::receive`], and may fix
-//! its output with [`LocalAlgorithm::decide`]. All three [`Runtime`]
-//! backends execute the same state machine and are bit-identical because
-//! implementations are deterministic and treat the incoming slice as
-//! arriving in a fixed (host neighbor) order.
-//!
-//! [`Runtime`]: crate::Runtime
+//! its output with [`LocalAlgorithm::decide`]. Both engines
+//! ([`MessagePassingRuntime`](crate::MessagePassingRuntime) and
+//! [`OracleRuntime`](crate::OracleRuntime)) execute the same state
+//! machine and are bit-identical because implementations are
+//! deterministic and treat the incoming slice as arriving in a fixed
+//! (host neighbor) order.
 //!
 //! # View algorithms are a special case
 //!
@@ -31,9 +31,7 @@
 //!
 //! ```
 //! use lmds_graph::Graph;
-//! use lmds_localsim::{
-//!     IdAssignment, LocalAlgorithm, NodeCtx, OracleRuntime, Runtime,
-//! };
+//! use lmds_localsim::{IdAssignment, LocalAlgorithm, NodeCtx, OracleRuntime};
 //!
 //! /// Each vertex outputs the smallest identifier in its closed
 //! /// neighborhood — one round, one id per message.
@@ -94,7 +92,7 @@ pub struct NodeCtx {
 /// messages.
 ///
 /// The contract every implementation must satisfy (it is what makes the
-/// runtimes interchangeable):
+/// engines interchangeable):
 ///
 /// * **Deterministic**: `init`, `send`, `receive`, and `decide` are pure
 ///   functions of their arguments.
@@ -133,7 +131,7 @@ pub trait LocalAlgorithm: Sync {
     /// Optional oracle fast path: the exact state `v` would hold after
     /// `round` rounds, computed directly from the global network.
     ///
-    /// Oracle runtimes call this first and fall back to a
+    /// The oracle calls this first and falls back to a
     /// ball-restricted replay of the state machine when it returns
     /// `None` (the default). Implementations must return exactly the
     /// state the message-passing execution would produce — the runtime
@@ -146,7 +144,7 @@ pub trait LocalAlgorithm: Sync {
 
 /// The blanket adapter: every [`Decider`] is a [`LocalAlgorithm`] whose
 /// state and message are both the [`LocalView`] — the full-information
-/// protocol. Oracle runtimes shortcut it through [`oracle_view`]
+/// protocol. The oracle shortcuts it through [`oracle_view`]
 /// (provably the same views, one BFS instead of per-edge merges).
 impl<D: Decider> LocalAlgorithm for D {
     type State = LocalView;

@@ -1,8 +1,8 @@
-//! Fault injection for LOCAL executions: message drops, crash-stop
-//! vertices, and bounded round-asynchrony behind the same [`Runtime`]
-//! contract as the healthy backends.
+//! The message-passing engine's round loop and its fault model:
+//! message drops, crash-stop vertices, and bounded round-asynchrony.
 //!
-//! The model is layered on faithful synchronous message passing:
+//! [`MessagePassingRuntime`] runs one synchronous send/receive/decide
+//! loop; its `fault` field layers these faults on it:
 //!
 //! * **Drops** — each directed delivery `(u → v, round)` can be lost.
 //!   [`DropPolicy::Bernoulli`] draws independently per delivery;
@@ -26,20 +26,16 @@
 //! Bernoulli threshold test makes drop sets *nested* in the rate, so
 //! higher intensities strictly add faults rather than reshuffling them.
 //!
-//! With [`FaultConfig::default`] (no faults), [`FaultyRuntime`] executes
-//! the exact send/account/receive/decide sequence of
-//! [`MessagePassingRuntime`], producing bit-identical results — rounds,
-//! message bits, decisions, and decision schedule.
+//! With [`FaultConfig::default`] (no faults) every vertex stays alive,
+//! every delivery arrives fresh, and the loop is plain synchronous
+//! message passing.
 
 use crate::algorithm::{LocalAlgorithm, NodeCtx};
 use crate::ids::IdAssignment;
-use crate::runtime::{MessageAccounting, RunResult, Runtime, RuntimeError, RuntimeKind};
+use crate::runtime::{MessageAccounting, MessagePassingRuntime, RunResult, RuntimeError};
 use lmds_graph::Graph;
 use std::fmt;
 use std::str::FromStr;
-
-#[cfg(doc)]
-use crate::runtime::MessagePassingRuntime;
 
 /// Message-drop policy, per directed delivery attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -90,8 +86,8 @@ pub enum CrashPolicy {
 }
 
 /// Complete description of a fault scenario. `Default` is the zero
-/// config: no drops, no crashes, no skew — under which
-/// [`FaultyRuntime`] is bit-identical to [`MessagePassingRuntime`].
+/// config: no drops, no crashes, no skew — fault-free
+/// [`MessagePassingRuntime`] execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FaultConfig {
     /// Seed for every randomized draw (drops, crash sets, staleness).
@@ -271,9 +267,9 @@ pub struct FaultReport {
     pub max_staleness: u32,
 }
 
-/// Outcome of a faulty execution: like [`RunResult`], but crashed
-/// vertices that never decided carry `None`, and the [`FaultReport`]
-/// rides along.
+/// Outcome of [`MessagePassingRuntime::run_with_report`]: like
+/// [`RunResult`], but crashed vertices that never decided carry `None`,
+/// and the [`FaultReport`] rides along.
 #[derive(Debug, Clone)]
 pub struct FaultyRun<O> {
     /// Per-vertex outputs; `None` for crashed-silent vertices.
@@ -339,7 +335,7 @@ fn top_degree(g: &Graph, count: usize) -> Vec<usize> {
 /// schedule is resolved to explicit vertices, and per-delivery draws
 /// are answered from the seed.
 #[derive(Debug, Clone)]
-pub struct FaultPlan {
+struct FaultPlan {
     config: FaultConfig,
     /// `crash_round[v]` = first round `v` is silent in, if it crashes.
     crash_round: Vec<Option<u32>>,
@@ -350,7 +346,7 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Resolves `config` against `g`: picks the crash set and the hub
     /// set. Deterministic in `(g, config)`.
-    pub fn materialize(g: &Graph, config: &FaultConfig) -> FaultPlan {
+    fn materialize(g: &Graph, config: &FaultConfig) -> FaultPlan {
         let n = g.n();
         let mut crash_round = vec![None; n];
         match config.crash {
@@ -380,13 +376,13 @@ impl FaultPlan {
     }
 
     /// The crash set, sorted.
-    pub fn crashed_vertices(&self) -> Vec<usize> {
+    fn crashed_vertices(&self) -> Vec<usize> {
         (0..self.crash_round.len()).filter(|&v| self.crash_round[v].is_some()).collect()
     }
 
     /// Whether `v` participates in round `round` (send, receive, and
     /// decide all stop at its crash round).
-    pub fn alive_at(&self, v: usize, round: u32) -> bool {
+    fn alive_at(&self, v: usize, round: u32) -> bool {
         self.crash_round[v].is_none_or(|c| round < c)
     }
 
@@ -396,7 +392,7 @@ impl FaultPlan {
     }
 
     /// Whether the delivery `u → v` at `round` is dropped.
-    pub fn dropped(&self, u: usize, v: usize, round: u32) -> bool {
+    fn dropped(&self, u: usize, v: usize, round: u32) -> bool {
         match self.config.drop {
             DropPolicy::None => false,
             DropPolicy::Bernoulli { per_mille } => {
@@ -413,7 +409,7 @@ impl FaultPlan {
     /// actually delivered was sent `staleness` rounds ago, in
     /// `[0, min(skew, round − 1)]` (round-1 traffic is never stale —
     /// nothing older exists).
-    pub fn staleness(&self, u: usize, v: usize, round: u32) -> u32 {
+    fn staleness(&self, u: usize, v: usize, round: u32) -> u32 {
         let bound = self.config.skew.min(round.saturating_sub(1));
         if bound == 0 {
             return 0;
@@ -423,24 +419,7 @@ impl FaultPlan {
     }
 }
 
-/// Message-passing execution under a seeded [`FaultPlan`]. With the
-/// zero [`FaultConfig`] this is bit-identical to
-/// [`MessagePassingRuntime`]; with faults active, use
-/// [`FaultyRuntime::run_with_report`] for partial outputs plus the
-/// [`FaultReport`] (the plain [`Runtime::run`] path demands every
-/// vertex decide and surfaces silent vertices as a round-limit error).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultyRuntime {
-    /// The fault scenario to inject.
-    pub config: FaultConfig,
-}
-
-impl FaultyRuntime {
-    /// A runtime injecting `config`.
-    pub fn new(config: FaultConfig) -> FaultyRuntime {
-        FaultyRuntime { config }
-    }
-
+impl MessagePassingRuntime {
     /// Executes `algo` under the fault plan. Terminates when every
     /// vertex that can still decide has decided; crashed-silent
     /// vertices yield `None` outputs.
@@ -463,7 +442,7 @@ impl FaultyRuntime {
                 FaultReport::default(),
             ));
         }
-        let plan = FaultPlan::materialize(g, &self.config);
+        let plan = FaultPlan::materialize(g, &self.fault);
         let n = g.n();
         let id_bits = ids.bits();
         let mut states: Vec<A::State> =
@@ -487,7 +466,7 @@ impl FaultyRuntime {
         // `(r − 1) % depth`; staleness is at most `min(skew, round − 1)`
         // with `round ≤ max_rounds`, so it never reaches past `depth`
         // rounds (and a huge hand-built skew allocates nothing extra).
-        let depth = self.config.skew.min(max_rounds) as usize + 1;
+        let depth = self.fault.skew.min(max_rounds) as usize + 1;
         let mut history: Vec<Vec<Option<A::Message>>> = Vec::with_capacity(depth);
         let mut inbox: Vec<A::Message> = Vec::new();
         loop {
@@ -569,23 +548,19 @@ impl FaultyRuntime {
         let rounds = decided_at.iter().copied().max().unwrap_or(0);
         Ok(FaultyRun { outputs, decided_at, rounds, messages, report })
     }
-}
 
-fn silent_vertices<O>(plan: &FaultPlan, outputs: &[Option<O>]) -> Vec<usize> {
-    plan.crashed_vertices().into_iter().filter(|&v| outputs[v].is_none()).collect()
-}
-
-impl Runtime for FaultyRuntime {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Faulty
-    }
-
-    /// The strict trait path: every vertex must decide. Crashed-silent
-    /// vertices therefore surface as
-    /// [`RuntimeError::RoundLimitExceeded`]; callers that want partial
+    /// Executes `algo` under the fault plan and demands that every
+    /// vertex decide: crashed-silent vertices surface as
+    /// [`RuntimeError::RoundLimitExceeded`]. Callers that want partial
     /// outputs plus the report use
-    /// [`FaultyRuntime::run_with_report`].
-    fn run<A: LocalAlgorithm>(
+    /// [`MessagePassingRuntime::run_with_report`].
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::RoundLimitExceeded`] if some vertex never decides
+    /// within `max_rounds`; [`RuntimeError::SizeMismatch`] on malformed
+    /// input.
+    pub fn run<A: LocalAlgorithm>(
         &self,
         g: &Graph,
         ids: &IdAssignment,
@@ -606,10 +581,14 @@ impl Runtime for FaultyRuntime {
     }
 }
 
+fn silent_vertices<O>(plan: &FaultPlan, outputs: &[Option<O>]) -> Vec<usize> {
+    plan.crashed_vertices().into_iter().filter(|&v| outputs[v].is_none()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::MessagePassingRuntime;
+    use crate::runtime::OracleRuntime;
     use crate::view::LocalView;
     use crate::Decider;
 
@@ -635,14 +614,22 @@ mod tests {
 
     #[test]
     fn zero_fault_is_bit_identical_to_message_passing() {
+        // The zero plan is plain synchronous message passing; the
+        // oracle's ball replay is an independent implementation of the
+        // same semantics. (Message-bit totals are pinned by the
+        // `message-passing` and `faulty` rows of the local-sweep golden.)
         for g in corpus() {
             let ids = IdAssignment::shuffled(g.n(), 9);
-            let base = MessagePassingRuntime.run(&g, &ids, &MinIdRadius2, 16).unwrap();
-            let faulty = FaultyRuntime::default().run(&g, &ids, &MinIdRadius2, 16).unwrap();
-            assert_eq!(base.outputs, faulty.outputs);
-            assert_eq!(base.decided_at, faulty.decided_at);
-            assert_eq!(base.rounds, faulty.rounds);
-            assert_eq!(base.messages, faulty.messages);
+            let oracle = OracleRuntime.run(&g, &ids, &MinIdRadius2, 16).unwrap();
+            let run = MessagePassingRuntime::default()
+                .run_with_report(&g, &ids, &MinIdRadius2, 16)
+                .unwrap();
+            let outputs: Vec<u64> = run.outputs.iter().map(|o| o.unwrap()).collect();
+            assert_eq!(oracle.outputs, outputs);
+            assert_eq!(oracle.decided_at, run.decided_at);
+            assert_eq!(oracle.rounds, run.rounds);
+            assert!(run.messages.is_measured());
+            assert_eq!(run.report, FaultReport::default());
         }
     }
 
@@ -656,7 +643,7 @@ mod tests {
             crash: CrashPolicy::Random { count: 2, round: 2 },
             skew: 1,
         };
-        let rt = FaultyRuntime::new(cfg);
+        let rt = MessagePassingRuntime { fault: cfg };
         let a = rt.run_with_report(&g, &ids, &MinIdRadius2, 32);
         let b = rt.run_with_report(&g, &ids, &MinIdRadius2, 32);
         match (a, b) {
@@ -685,7 +672,9 @@ mod tests {
             };
             // MinIdRadius2 always decides at round 2 regardless of
             // content, so every run sees the same delivery schedule.
-            let run = FaultyRuntime::new(cfg).run_with_report(&g, &ids, &MinIdRadius2, 16).unwrap();
+            let run = MessagePassingRuntime { fault: cfg }
+                .run_with_report(&g, &ids, &MinIdRadius2, 16)
+                .unwrap();
             assert!(
                 run.report.messages_dropped >= last,
                 "rate {per_mille}: {} < {last}",
@@ -705,14 +694,17 @@ mod tests {
             crash: CrashPolicy::Hubs { count: 2, round: 1 },
             ..FaultConfig::default()
         };
-        let run = FaultyRuntime::new(cfg).run_with_report(&g, &ids, &MinIdRadius2, 16).unwrap();
+        let run = MessagePassingRuntime { fault: cfg }
+            .run_with_report(&g, &ids, &MinIdRadius2, 16)
+            .unwrap();
         assert_eq!(run.report.crashed.len(), 2);
         assert_eq!(run.report.silent, run.report.crashed, "crashed at round 1, decide at 2");
         for &v in &run.report.silent {
             assert!(run.outputs[v].is_none());
         }
-        // The strict trait path turns silence into a typed error.
-        let err = FaultyRuntime::new(cfg).run(&g, &ids, &MinIdRadius2, 16).unwrap_err();
+        // The strict path turns silence into a typed error.
+        let err =
+            MessagePassingRuntime { fault: cfg }.run(&g, &ids, &MinIdRadius2, 16).unwrap_err();
         assert!(matches!(err, RuntimeError::RoundLimitExceeded { undecided: 2, .. }));
     }
 
@@ -735,8 +727,9 @@ mod tests {
                 (view.vertex_ids().len() >= 2).then(|| view.vertex_ids().len())
             }
         }
-        let (err, report) =
-            FaultyRuntime::new(cfg).run_with_report(&g, &ids, &NeedsNeighbor, 4).unwrap_err();
+        let (err, report) = MessagePassingRuntime { fault: cfg }
+            .run_with_report(&g, &ids, &NeedsNeighbor, 4)
+            .unwrap_err();
         assert!(matches!(err, RuntimeError::RoundLimitExceeded { limit: 4, .. }));
         assert!(report.messages_dropped > 0);
     }
@@ -746,7 +739,9 @@ mod tests {
         let g = corpus().remove(2);
         let ids = IdAssignment::shuffled(g.n(), 4);
         let cfg = FaultConfig { seed: 11, skew: 2, ..FaultConfig::default() };
-        let run = FaultyRuntime::new(cfg).run_with_report(&g, &ids, &MinIdRadius2, 32).unwrap();
+        let run = MessagePassingRuntime { fault: cfg }
+            .run_with_report(&g, &ids, &MinIdRadius2, 32)
+            .unwrap();
         assert!(run.report.max_staleness <= 2);
         assert_eq!(run.report.messages_dropped, 0);
         assert!(run.outputs.iter().all(|o| o.is_some()));
@@ -810,7 +805,9 @@ mod tests {
         assert_eq!(huge.grace(), u32::MAX);
         let g = corpus().remove(2);
         let ids = IdAssignment::shuffled(g.n(), 4);
-        let run = FaultyRuntime::new(huge).run_with_report(&g, &ids, &MinIdRadius2, 32).unwrap();
+        let run = MessagePassingRuntime { fault: huge }
+            .run_with_report(&g, &ids, &MinIdRadius2, 32)
+            .unwrap();
         assert!(run.outputs.iter().all(|o| o.is_some()));
     }
 }

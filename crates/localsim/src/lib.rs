@@ -1,7 +1,7 @@
 //! # lmds-localsim
 //!
 //! A deterministic synchronous **LOCAL-model** simulator with
-//! first-class round state machines and pluggable runtimes.
+//! first-class round state machines and two execution engines.
 //!
 //! The LOCAL model (Linial): the network is an undirected graph;
 //! vertices are processors with unique `O(log n)`-bit identifiers;
@@ -20,27 +20,26 @@
 //!   decision. A blanket adapter makes every `Decider` a
 //!   `LocalAlgorithm` running the full-information protocol, so
 //!   adaptive algorithms stay one `fn` long.
-//! * [`Runtime`] — the pluggable execution engine, with interchangeable
-//!   backends selected by [`RuntimeKind`]:
-//!   [`MessagePassingRuntime`] (faithful message passing, bits
-//!   accounted), [`OracleRuntime`] (states computed directly via
-//!   projection or ball replay), [`ShardedOracleRuntime`] (oracle
-//!   semantics on scoped worker threads with pooled scratch), and
-//!   [`FaultyRuntime`] (message passing under a seeded [`FaultConfig`]:
-//!   drops, crash-stop vertices, bounded skew — bit-identical to
-//!   message passing when the plan is empty).
+//! * Two engines, selected by [`RuntimeKind`]:
+//!   [`MessagePassingRuntime`] (faithful synchronous message passing,
+//!   bits accounted, under an optional seeded [`FaultConfig`]: drops,
+//!   crash-stop vertices, bounded skew) and [`OracleRuntime`] (states
+//!   computed directly via projection or ball replay, on the automatic
+//!   [`lmds_graph::par`] worker count with pooled scratch). The four
+//!   kind names are aliases: `message-passing` and `faulty` select
+//!   message passing, `oracle` and `sharded-oracle` the oracle.
 //! * [`IdPolicy`] / [`IdAssignment`] — the identifier-assignment axis:
 //!   sequential, seeded-shuffled, or degree-adversarial permutations.
 //!
-//! The fundamental fact the oracle backends are built around: after `k`
+//! The fundamental fact the oracle is built around: after `k`
 //! rounds a vertex `v` can know exactly the identifiers of `N^k[v]` and
 //! all edges incident to `N^{k-1}[v]`, and nothing more — so a vertex's
 //! state is computable from its `k`-ball alone, either by projecting
 //! the view directly ([`oracle_view`]) or by replaying the state
-//! machine inside the ball. All backends are bit-identical on
+//! machine inside the ball. Both engines are bit-identical on
 //! deterministic algorithms; the [`RunResult`] additionally reports
 //! decision rounds, the decided-at histogram, and — on the
-//! message-passing backend — measured message bits
+//! message-passing engine — measured message bits
 //! ([`MessageAccounting`]).
 //!
 //! # Example
@@ -49,7 +48,7 @@
 //! use lmds_graph::Graph;
 //! use lmds_localsim::{
 //!     Decider, IdAssignment, LocalView, MessageAccounting, MessagePassingRuntime,
-//!     OracleRuntime, Runtime,
+//!     OracleRuntime,
 //! };
 //!
 //! /// Decide the degree: needs 1 round (vertices start without it).
@@ -68,8 +67,8 @@
 //! assert_eq!(res.outputs, vec![1, 2, 2, 1]);
 //! // The oracle computed states without exchanging messages:
 //! assert_eq!(res.messages, MessageAccounting::NotApplicable);
-//! // The message-passing backend measures real bits, bit-identically:
-//! let mp = MessagePassingRuntime.run(&g, &ids, &DegreeAlgo, 16).unwrap();
+//! // The message-passing engine measures real bits, bit-identically:
+//! let mp = MessagePassingRuntime::default().run(&g, &ids, &DegreeAlgo, 16).unwrap();
 //! assert_eq!(mp.outputs, res.outputs);
 //! assert!(mp.messages.total_bits().unwrap() > 0);
 //! ```
@@ -82,13 +81,12 @@ pub mod view;
 
 pub use algorithm::{LocalAlgorithm, NodeCtx};
 pub use fault::{
-    CrashPolicy, DropPolicy, FaultConfig, FaultPlan, FaultReport, FaultyRun, FaultyRuntime,
-    ParseFaultError, MAX_SKEW,
+    CrashPolicy, DropPolicy, FaultConfig, FaultReport, FaultyRun, ParseFaultError, MAX_SKEW,
 };
 pub use ids::{IdAssignment, IdPolicy};
 pub use runtime::{
-    fits_congest, oracle_view, MessageAccounting, MessagePassingRuntime, OracleRuntime, RunResult,
-    Runtime, RuntimeError, RuntimeKind, ShardedOracleRuntime,
+    oracle_view, MessageAccounting, MessagePassingRuntime, OracleRuntime, RunResult, RuntimeError,
+    RuntimeKind,
 };
 pub use view::LocalView;
 
@@ -100,10 +98,10 @@ pub use view::LocalView;
 /// afterwards (as a real network would) but records its decision round.
 ///
 /// Implementations must be deterministic functions of the view — this
-/// is what makes the runtimes interchangeable. Every `Decider` is a
+/// is what makes the engines interchangeable. Every `Decider` is a
 /// [`LocalAlgorithm`] through the blanket adapter in
 /// [`algorithm`]: state and message are both the view (the
-/// full-information protocol), and oracle backends shortcut it through
+/// full-information protocol), and the oracle shortcuts it through
 /// [`oracle_view`].
 pub trait Decider: Sync {
     /// Per-node output type.

@@ -1,38 +1,35 @@
-//! Pluggable runtimes executing a [`LocalAlgorithm`] over a network.
+//! The two LOCAL execution engines and the result types they share.
 //!
 //! * [`MessagePassingRuntime`] — faithful synchronous message passing:
-//!   every round each vertex broadcasts one typed message to every
-//!   neighbor; message bits are accounted. The "ground truth" execution.
+//!   every round each live vertex broadcasts one typed message to every
+//!   neighbor; message bits are accounted. Its `fault` field injects a
+//!   seeded fault plan ([`crate::fault`]); the default plan injects
+//!   none. The "ground truth" execution.
 //! * [`OracleRuntime`] — computes each undecided vertex's round-`k`
 //!   state directly: through the algorithm's
 //!   [`LocalAlgorithm::project`] fast path when it has one (view
 //!   algorithms project via [`oracle_view`]), otherwise by replaying the
 //!   state machine inside the ball `N^k[v]` — provably the same state,
-//!   no global message schedule.
-//! * [`ShardedOracleRuntime`] — the same per-vertex oracle loop on
-//!   several worker threads ([`lmds_graph::par`]); bit-identical
-//!   outputs (all algorithms are deterministic).
-//! * [`FaultyRuntime`](crate::FaultyRuntime) — message passing behind a
-//!   seeded fault plan; bit-identical to [`MessagePassingRuntime`] when
-//!   the plan is empty.
+//!   no global message schedule. Vertices are spread over the automatic
+//!   [`par::workers`] count.
 //!
-//! [`RuntimeKind`] names the four backends for configuration layers
-//! (the `lmds-api` crate selects runtimes by kind), and the [`Runtime`]
-//! trait is the common execution contract.
+//! [`RuntimeKind`] names the engines for configuration layers (the
+//! `lmds-api` crate selects them by kind): four names, two engines.
 
 use crate::algorithm::{LocalAlgorithm, NodeCtx};
+use crate::fault::FaultConfig;
 use crate::ids::IdAssignment;
 use crate::view::LocalView;
 use lmds_graph::{bfs, par, Graph};
 use std::error::Error;
 use std::fmt;
 
-/// Message accounting of a LOCAL execution: runtimes that exchange real
-/// messages measure bits; oracle runtimes do not exchange any, which is
-/// *not* the same as measuring zero bits.
+/// Message accounting of a LOCAL execution: the message-passing engine
+/// measures bits; the oracle exchanges no messages, which is *not* the
+/// same as measuring zero bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MessageAccounting {
-    /// Bits were measured on the wire (message-passing runtime). A
+    /// Bits were measured on the wire (message passing). A
     /// 0-round or 0-bit protocol legitimately measures zero.
     Measured {
         /// Largest single message, in bits.
@@ -40,8 +37,8 @@ pub enum MessageAccounting {
         /// Total bits sent over all edges and rounds.
         total_message_bits: u64,
     },
-    /// The runtime computed states without exchanging messages (oracle
-    /// runtimes); no bit counts exist.
+    /// States were computed without exchanging messages (the oracle);
+    /// no bit counts exist.
     NotApplicable,
 }
 
@@ -78,7 +75,7 @@ pub struct RunResult<O> {
     /// Global round complexity: `max(decided_at)`.
     pub rounds: u32,
     /// Message accounting ([`MessageAccounting::NotApplicable`] for the
-    /// oracle runtimes).
+    /// oracle).
     pub messages: MessageAccounting,
 }
 
@@ -142,27 +139,30 @@ impl fmt::Display for RuntimeError {
 
 impl Error for RuntimeError {}
 
-/// The execution backends, as a configuration value. Higher layers
-/// (solver configs, sweeps) select a backend by kind;
-/// [`RuntimeKind::run`] dispatches to the corresponding runtime.
+/// The engine names, as a configuration value. Four names select two
+/// engines: `message-passing` and `faulty` run
+/// [`MessagePassingRuntime`], `oracle` and `sharded-oracle` run
+/// [`OracleRuntime`]. Every name stays distinct in configs, reports and
+/// sweeps; [`RuntimeKind::run`] is the single dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuntimeKind {
-    /// Faithful synchronous message passing with bit accounting.
+    /// Fault-free message passing with bit accounting.
     MessagePassing,
     /// Direct per-vertex state computation (projection or ball replay).
     Oracle,
-    /// Oracle semantics sharded across worker threads.
+    /// The oracle engine under its historical name; the oracle already
+    /// spreads vertices over the automatic [`par::workers`] count.
     ShardedOracle,
-    /// Message passing behind a seeded fault plan
-    /// ([`crate::FaultyRuntime`]); bit-identical to
-    /// [`RuntimeKind::MessagePassing`] when the plan is empty.
+    /// Message passing under a seeded fault plan. The kind carries no
+    /// plan: configuration layers hand theirs to
+    /// [`MessagePassingRuntime`], and [`RuntimeKind::run`] runs the
+    /// fault-free plan.
     Faulty,
 }
 
 impl RuntimeKind {
-    /// All backends, in the order sweeps iterate them. `Faulty` is
-    /// included with its zero plan — sweeping it re-proves the
-    /// bit-identity contract on every run.
+    /// All names, in the order sweeps iterate them. Sweeping both names
+    /// of each engine re-proves on every run that they agree.
     pub const ALL: [RuntimeKind; 4] = [
         RuntimeKind::MessagePassing,
         RuntimeKind::Oracle,
@@ -170,37 +170,28 @@ impl RuntimeKind {
         RuntimeKind::Faulty,
     ];
 
-    /// Whether this backend exchanges (and accounts) real messages.
+    /// Whether this kind runs the message-passing engine, which
+    /// exchanges (and accounts) real messages.
     pub fn measures_messages(self) -> bool {
         matches!(self, RuntimeKind::MessagePassing | RuntimeKind::Faulty)
     }
 
-    /// Executes `algo` on the backend this kind names. `threads` is
-    /// used by [`RuntimeKind::ShardedOracle`] only.
+    /// Executes `algo` on the engine this kind names, fault-free.
     ///
     /// # Errors
     ///
-    /// Same as [`Runtime::run`].
+    /// Same as [`OracleRuntime::run`] and [`MessagePassingRuntime::run`].
     pub fn run<A: LocalAlgorithm>(
         self,
         g: &Graph,
         ids: &IdAssignment,
         algo: &A,
         max_rounds: u32,
-        threads: usize,
     ) -> Result<RunResult<A::Output>, RuntimeError> {
-        match self {
-            RuntimeKind::MessagePassing => MessagePassingRuntime.run(g, ids, algo, max_rounds),
-            RuntimeKind::Oracle => OracleRuntime.run(g, ids, algo, max_rounds),
-            RuntimeKind::ShardedOracle => {
-                ShardedOracleRuntime { threads }.run(g, ids, algo, max_rounds)
-            }
-            // The kind carries no fault parameters: this is the zero
-            // (bit-identical) plan. Fault scenarios construct a
-            // `FaultyRuntime` with an explicit `FaultConfig`.
-            RuntimeKind::Faulty => {
-                crate::fault::FaultyRuntime::default().run(g, ids, algo, max_rounds)
-            }
+        if self.measures_messages() {
+            MessagePassingRuntime::default().run(g, ids, algo, max_rounds)
+        } else {
+            OracleRuntime.run(g, ids, algo, max_rounds)
         }
     }
 }
@@ -220,7 +211,7 @@ impl fmt::Display for RuntimeKind {
 impl std::str::FromStr for RuntimeKind {
     type Err = String;
 
-    /// Parses the [`fmt::Display`] form of each backend.
+    /// Parses the [`fmt::Display`] form of each name.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "message-passing" => Ok(RuntimeKind::MessagePassing),
@@ -235,15 +226,21 @@ impl std::str::FromStr for RuntimeKind {
     }
 }
 
-/// A LOCAL execution engine: runs a [`LocalAlgorithm`] to completion on
-/// a network, producing per-vertex outputs, decision rounds, and
-/// message accounting.
+/// Faithful synchronous message passing with bit accounting: every
+/// round each live vertex broadcasts one typed message to every
+/// neighbor. The `fault` plan can drop deliveries, crash vertices and
+/// deliver stale messages; the default plan injects nothing.
+///
+/// [`MessagePassingRuntime::run`] demands that every vertex decide;
+/// [`MessagePassingRuntime::run_with_report`] returns partial outputs
+/// plus the [`FaultReport`](crate::FaultReport). The round loop behind
+/// both lives in [`crate::fault`], beside the plan it consults on every
+/// delivery.
 ///
 /// ```
 /// use lmds_graph::Graph;
-/// use lmds_localsim::{Decider, IdAssignment, LocalView, OracleRuntime, Runtime};
+/// use lmds_localsim::{Decider, FaultConfig, IdAssignment, LocalView, MessagePassingRuntime};
 ///
-/// /// Decide the degree: needs 1 round.
 /// struct DegreeAlgo;
 /// impl Decider for DegreeAlgo {
 ///     type Output = usize;
@@ -254,130 +251,17 @@ impl std::str::FromStr for RuntimeKind {
 ///
 /// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
 /// let ids = IdAssignment::sequential(4);
-/// let res = OracleRuntime.run(&g, &ids, &DegreeAlgo, 16).unwrap();
-/// assert_eq!(res.rounds, 1);
+/// let res = MessagePassingRuntime::default().run(&g, &ids, &DegreeAlgo, 16).unwrap();
 /// assert_eq!(res.outputs, vec![1, 2, 2, 1]);
-/// assert_eq!(res.decided_histogram(), vec![0, 4]);
+/// let fault: FaultConfig = "seed=1;drop=bernoulli:1000".parse().unwrap();
+/// let run = MessagePassingRuntime { fault }.run_with_report(&g, &ids, &DegreeAlgo, 16).unwrap();
+/// assert_eq!(run.outputs, vec![Some(0); 4], "every delivery was lost");
+/// assert_eq!(run.report.messages_dropped, 6);
 /// ```
-pub trait Runtime: Sync {
-    /// Stable backend name for reports.
-    fn kind(&self) -> RuntimeKind;
-
-    /// Executes `algo` on the network `(g, ids)`, at most `max_rounds`
-    /// communication rounds.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::RoundLimitExceeded`] if some vertex never decides
-    /// within `max_rounds`; [`RuntimeError::SizeMismatch`] on malformed
-    /// input.
-    fn run<A: LocalAlgorithm>(
-        &self,
-        g: &Graph,
-        ids: &IdAssignment,
-        algo: &A,
-        max_rounds: u32,
-    ) -> Result<RunResult<A::Output>, RuntimeError>;
-}
-
-fn check_sizes(g: &Graph, ids: &IdAssignment) -> Result<(), RuntimeError> {
-    if g.n() != ids.n() {
-        Err(RuntimeError::SizeMismatch { graph_n: g.n(), ids_n: ids.n() })
-    } else {
-        Ok(())
-    }
-}
-
-fn finalize<O>(
-    outputs: Vec<Option<O>>,
-    decided_at: Vec<u32>,
-    messages: MessageAccounting,
-) -> RunResult<O> {
-    let rounds = decided_at.iter().copied().max().unwrap_or(0);
-    RunResult {
-        outputs: outputs.into_iter().map(|o| o.expect("all decided")).collect(),
-        decided_at,
-        rounds,
-        messages,
-    }
-}
-
-/// Faithful synchronous message passing with bit accounting.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MessagePassingRuntime;
-
-impl Runtime for MessagePassingRuntime {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::MessagePassing
-    }
-
-    fn run<A: LocalAlgorithm>(
-        &self,
-        g: &Graph,
-        ids: &IdAssignment,
-        algo: &A,
-        max_rounds: u32,
-    ) -> Result<RunResult<A::Output>, RuntimeError> {
-        check_sizes(g, ids)?;
-        let n = g.n();
-        let id_bits = ids.bits();
-        let mut states: Vec<A::State> =
-            (0..n).map(|v| algo.init(&NodeCtx { id: ids.id_of(v) })).collect();
-        let mut outputs: Vec<Option<A::Output>> = vec![None; n];
-        let mut decided_at = vec![0u32; n];
-        let mut max_msg = 0u64;
-        let mut total_msg = 0u64;
-
-        // Round 0 decisions.
-        let mut undecided = 0usize;
-        for (v, out) in outputs.iter_mut().enumerate() {
-            match algo.decide(&states[v], 0) {
-                Some(o) => *out = Some(o),
-                None => undecided += 1,
-            }
-        }
-        let mut round = 0u32;
-        let mut inbox: Vec<A::Message> = Vec::new();
-        while undecided > 0 {
-            if round >= max_rounds {
-                return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided });
-            }
-            round += 1;
-            // Send phase: every vertex broadcasts (decided vertices keep
-            // relaying, as a real network would); account sizes.
-            let msgs: Vec<A::Message> = states.iter().map(|s| algo.send(s, round)).collect();
-            for (v, m) in msgs.iter().enumerate() {
-                let deg = g.degree(v) as u64;
-                if deg > 0 {
-                    let bits = algo.message_bits(m, id_bits);
-                    total_msg += bits * deg;
-                    max_msg = max_msg.max(bits);
-                }
-            }
-            // Receive phase (messages were snapshotted above, so states
-            // can be folded in place).
-            for (v, state) in states.iter_mut().enumerate() {
-                inbox.clear();
-                inbox.extend(g.neighbors(v).iter().map(|&u| msgs[u as usize].clone()));
-                algo.receive(state, round, &inbox);
-            }
-            // Decide phase.
-            for (v, out) in outputs.iter_mut().enumerate() {
-                if out.is_none() {
-                    if let Some(o) = algo.decide(&states[v], round) {
-                        *out = Some(o);
-                        decided_at[v] = round;
-                        undecided -= 1;
-                    }
-                }
-            }
-        }
-        let messages = MessageAccounting::Measured {
-            max_message_bits: max_msg,
-            total_message_bits: total_msg,
-        };
-        Ok(finalize(outputs, decided_at, messages))
-    }
+pub struct MessagePassingRuntime {
+    /// The fault scenario to inject.
+    pub fault: FaultConfig,
 }
 
 /// Computes the exact view of `v` after `k` rounds directly from the
@@ -458,99 +342,63 @@ fn state_at<A: LocalAlgorithm>(
     }
 }
 
-/// The oracle execution loop shared by [`OracleRuntime`] (one worker)
-/// and [`ShardedOracleRuntime`] (`workers` threads).
-///
-/// Under oracle semantics a vertex's decision round depends only on the
-/// network, never on other vertices' decisions — so no per-round
-/// barrier is needed: [`par::drain`] hands out vertices, and each scans
-/// its rounds `0..=max_rounds` until it decides. Every worker pre-warms
-/// its thread-local [`Scratch`](lmds_graph::Scratch) to the graph size
-/// once per run, so the per-vertex ball queries run allocation-free.
-fn run_oracle<A: LocalAlgorithm>(
-    g: &Graph,
-    ids: &IdAssignment,
-    algo: &A,
-    max_rounds: u32,
-    workers: usize,
-) -> Result<RunResult<A::Output>, RuntimeError> {
-    check_sizes(g, ids)?;
-    let n = g.n();
-    let decisions = par::drain(
-        n,
-        workers,
-        || lmds_graph::scratch::with_thread_scratch(|s| s.reserve(n)),
-        |_, v| {
-            (0..=max_rounds).find_map(|round| {
-                algo.decide(&state_at(g, ids, algo, v, round), round).map(|o| (round, o))
-            })
-        },
-    );
-    let undecided = decisions.iter().filter(|d| d.is_none()).count();
-    if undecided > 0 {
-        return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided });
-    }
-    let (decided_at, outputs) = decisions.into_iter().flatten().map(|(r, o)| (r, Some(o))).unzip();
-    Ok(finalize(outputs, decided_at, MessageAccounting::NotApplicable))
-}
-
-/// Oracle execution: per-vertex states computed directly (projection or
-/// ball replay) on the caller's thread; no messages exchanged, so no bit
+/// Oracle execution: each vertex's round-`k` state computed directly
+/// (projection or ball replay); no messages exchanged, so no bit
 /// accounting.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OracleRuntime;
 
-impl Runtime for OracleRuntime {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::Oracle
-    }
-
-    fn run<A: LocalAlgorithm>(
+impl OracleRuntime {
+    /// Executes `algo` on the network `(g, ids)`, at most `max_rounds`
+    /// rounds.
+    ///
+    /// Under oracle semantics a vertex's decision round depends only on
+    /// the network, never on other vertices' decisions — so no per-round
+    /// barrier is needed: [`par::drain`] hands vertices to
+    /// [`par::workers`]`(n, `[`par::BALL_GRAIN`]`)` workers, and each
+    /// scans its rounds `0..=max_rounds` until it decides. Every worker
+    /// pre-warms its thread-local [`Scratch`](lmds_graph::Scratch) to
+    /// the graph size once per run, so the per-vertex ball queries run
+    /// allocation-free. Outputs do not depend on the worker count (all
+    /// algorithms are deterministic).
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::RoundLimitExceeded`] if some vertex never decides
+    /// within `max_rounds`; [`RuntimeError::SizeMismatch`] on malformed
+    /// input.
+    pub fn run<A: LocalAlgorithm>(
         &self,
         g: &Graph,
         ids: &IdAssignment,
         algo: &A,
         max_rounds: u32,
     ) -> Result<RunResult<A::Output>, RuntimeError> {
-        run_oracle(g, ids, algo, max_rounds, 1)
-    }
-}
-
-/// Oracle semantics on `threads` scoped worker threads: the same
-/// per-vertex loop as [`OracleRuntime`], so outputs are bit-identical
-/// to it (all algorithms are deterministic).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedOracleRuntime {
-    /// Worker threads (clamped to `1..=n`).
-    pub threads: usize,
-}
-
-impl Runtime for ShardedOracleRuntime {
-    fn kind(&self) -> RuntimeKind {
-        RuntimeKind::ShardedOracle
-    }
-
-    fn run<A: LocalAlgorithm>(
-        &self,
-        g: &Graph,
-        ids: &IdAssignment,
-        algo: &A,
-        max_rounds: u32,
-    ) -> Result<RunResult<A::Output>, RuntimeError> {
-        run_oracle(g, ids, algo, max_rounds, self.threads)
-    }
-}
-
-/// Whether an execution's messages would fit the CONGEST(B) model with
-/// `B = c·⌈log₂ n⌉` bits per edge per round. The paper's algorithms are
-/// LOCAL (unbounded messages); this report documents *how far* from
-/// CONGEST each run is (see the E9 experiment). Executions without
-/// measured messages (oracle runtimes) fit vacuously.
-pub fn fits_congest<O>(result: &RunResult<O>, n: usize, c: u64) -> bool {
-    let log_n = (usize::BITS - n.max(2).leading_zeros()) as u64;
-    match result.messages {
-        MessageAccounting::Measured { max_message_bits, .. } => max_message_bits <= c * log_n,
-        MessageAccounting::NotApplicable => true,
+        let n = g.n();
+        if n != ids.n() {
+            return Err(RuntimeError::SizeMismatch { graph_n: n, ids_n: ids.n() });
+        }
+        let decisions = par::drain(
+            n,
+            par::workers(n, par::BALL_GRAIN),
+            || lmds_graph::scratch::with_thread_scratch(|s| s.reserve(n)),
+            |_, v| {
+                (0..=max_rounds).find_map(|round| {
+                    algo.decide(&state_at(g, ids, algo, v, round), round).map(|o| (round, o))
+                })
+            },
+        );
+        let undecided = decisions.iter().filter(|d| d.is_none()).count();
+        if undecided > 0 {
+            return Err(RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided });
+        }
+        let (decided_at, outputs): (Vec<u32>, _) = decisions.into_iter().flatten().unzip();
+        Ok(RunResult {
+            rounds: decided_at.iter().copied().max().unwrap_or(0),
+            outputs,
+            decided_at,
+            messages: MessageAccounting::NotApplicable,
+        })
     }
 }
 
@@ -591,7 +439,7 @@ mod tests {
     }
 
     /// A native (non-view) algorithm with no projection: forces the
-    /// oracle runtimes through the ball-replay path. Outputs the
+    /// oracle through the ball-replay path. Outputs the
     /// smallest id within distance 2.
     struct MinIdRadius2;
 
@@ -634,9 +482,9 @@ mod tests {
     fn degree_in_one_round_all_runtimes() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (1, 4)]);
         let ids = IdAssignment::shuffled(5, 3);
-        let a = MessagePassingRuntime.run(&g, &ids, &DegreeAlgo, 10).unwrap();
+        let a = MessagePassingRuntime::default().run(&g, &ids, &DegreeAlgo, 10).unwrap();
         let b = OracleRuntime.run(&g, &ids, &DegreeAlgo, 10).unwrap();
-        let c = ShardedOracleRuntime { threads: 4 }.run(&g, &ids, &DegreeAlgo, 10).unwrap();
+        let c = par::with_workers(4, || OracleRuntime.run(&g, &ids, &DegreeAlgo, 10)).unwrap();
         assert_eq!(a.outputs, vec![1, 3, 2, 1, 1]);
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.outputs, c.outputs);
@@ -654,7 +502,7 @@ mod tests {
         let mut g = cycle(6);
         g.add_edge(0, 2); // triangle 0-1-2
         let ids = IdAssignment::sequential(7.min(g.n()));
-        let res = MessagePassingRuntime.run(&g, &ids, &TriangleAlgo, 10).unwrap();
+        let res = MessagePassingRuntime::default().run(&g, &ids, &TriangleAlgo, 10).unwrap();
         assert_eq!(res.rounds, 2);
         assert_eq!(res.outputs, vec![true, true, true, false, false, false]);
         let res2 = OracleRuntime.run(&g, &ids, &TriangleAlgo, 10).unwrap();
@@ -665,14 +513,14 @@ mod tests {
 
     #[test]
     fn native_algorithm_replay_matches_message_passing() {
-        // MinIdRadius2 has no projection: the oracle runtimes replay the
+        // MinIdRadius2 has no projection: the oracle replays the
         // state machine inside balls and must still agree bit-for-bit.
         let mut g = cycle(12);
         g.add_edge(0, 6);
         let ids = IdAssignment::shuffled(12, 17);
-        let a = MessagePassingRuntime.run(&g, &ids, &MinIdRadius2, 10).unwrap();
+        let a = MessagePassingRuntime::default().run(&g, &ids, &MinIdRadius2, 10).unwrap();
         let b = OracleRuntime.run(&g, &ids, &MinIdRadius2, 10).unwrap();
-        let c = ShardedOracleRuntime { threads: 5 }.run(&g, &ids, &MinIdRadius2, 10).unwrap();
+        let c = par::with_workers(5, || OracleRuntime.run(&g, &ids, &MinIdRadius2, 10)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.outputs, c.outputs);
         assert_eq!(a.decided_at, b.decided_at);
@@ -726,9 +574,9 @@ mod tests {
         let ids = IdAssignment::sequential(4);
         let err = OracleRuntime.run(&g, &ids, &Never, 3).unwrap_err();
         assert_eq!(err, RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4 });
-        let err2 = MessagePassingRuntime.run(&g, &ids, &Never, 3).unwrap_err();
+        let err2 = MessagePassingRuntime::default().run(&g, &ids, &Never, 3).unwrap_err();
         assert_eq!(err2, RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4 });
-        let err3 = ShardedOracleRuntime { threads: 2 }.run(&g, &ids, &Never, 3).unwrap_err();
+        let err3 = par::with_workers(2, || OracleRuntime.run(&g, &ids, &Never, 3)).unwrap_err();
         assert_eq!(err3, RuntimeError::RoundLimitExceeded { limit: 3, undecided: 4 });
     }
 
@@ -753,7 +601,7 @@ mod tests {
         }
         let g = cycle(5);
         let ids = IdAssignment::sequential(5);
-        let res = MessagePassingRuntime.run(&g, &ids, &TakeAll, 5).unwrap();
+        let res = MessagePassingRuntime::default().run(&g, &ids, &TakeAll, 5).unwrap();
         assert_eq!(res.rounds, 0);
         // Measured zero is distinct from not-measured.
         assert_eq!(
@@ -765,11 +613,37 @@ mod tests {
     }
 
     #[test]
+    fn deep_gathering_measures_large_messages() {
+        struct DeepAlgo;
+        impl Decider for DeepAlgo {
+            type Output = usize;
+            fn decide(&self, view: &LocalView) -> Option<usize> {
+                (view.rounds() >= 6).then(|| view.vertex_ids().len())
+            }
+        }
+        // A dense-ish graph where 6-hop views carry many ids: the
+        // largest message outgrows a CONGEST budget of 4·log₂ n bits.
+        let mut g = Graph::new(64);
+        for i in 0..63 {
+            g.add_edge(i, i + 1);
+        }
+        for i in 0..60 {
+            g.add_edge(i, i + 4);
+        }
+        let ids = IdAssignment::sequential(64);
+        let res = MessagePassingRuntime::default().run(&g, &ids, &DeepAlgo, 10).unwrap();
+        assert!(res.messages.max_bits().unwrap() > 4 * 6);
+        // The oracle measures nothing.
+        let oracle = OracleRuntime.run(&g, &ids, &DeepAlgo, 10).unwrap();
+        assert_eq!(oracle.messages, MessageAccounting::NotApplicable);
+    }
+
+    #[test]
     fn sharded_matches_sequential_on_larger_graph() {
         let g = cycle(64);
         let ids = IdAssignment::shuffled(64, 99);
         let a = OracleRuntime.run(&g, &ids, &TriangleAlgo, 10).unwrap();
-        let b = ShardedOracleRuntime { threads: 7 }.run(&g, &ids, &TriangleAlgo, 10).unwrap();
+        let b = par::with_workers(7, || OracleRuntime.run(&g, &ids, &TriangleAlgo, 10)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.decided_at, b.decided_at);
         assert_eq!(a.rounds, b.rounds);
@@ -791,7 +665,7 @@ mod tests {
         let ids = IdAssignment::shuffled(9, 2);
         let direct = OracleRuntime.run(&g, &ids, &DegreeAlgo, 5).unwrap();
         for kind in RuntimeKind::ALL {
-            let via = kind.run(&g, &ids, &DegreeAlgo, 5, 3).unwrap();
+            let via = kind.run(&g, &ids, &DegreeAlgo, 5).unwrap();
             assert_eq!(via.outputs, direct.outputs, "{kind}");
             assert_eq!(via.rounds, direct.rounds, "{kind}");
             assert_eq!(kind.measures_messages(), via.messages.is_measured(), "{kind}");
@@ -803,62 +677,9 @@ mod tests {
         let g = Graph::new(0);
         let ids = IdAssignment::sequential(0);
         for kind in RuntimeKind::ALL {
-            let res = kind.run(&g, &ids, &DegreeAlgo, 3, 2).unwrap();
+            let res = kind.run(&g, &ids, &DegreeAlgo, 3).unwrap();
             assert!(res.outputs.is_empty());
             assert_eq!(res.rounds, 0);
         }
-    }
-}
-
-#[cfg(test)]
-mod congest_tests {
-    use super::*;
-    use crate::ids::IdAssignment;
-    use crate::view::LocalView;
-    use lmds_graph::Graph;
-
-    struct DegreeAlgo;
-    impl crate::Decider for DegreeAlgo {
-        type Output = usize;
-        fn decide(&self, view: &LocalView) -> Option<usize> {
-            (view.rounds() >= 1).then(|| view.neighbors_of(view.center_id()).len())
-        }
-    }
-
-    #[test]
-    fn one_round_degree_fits_congest() {
-        // A 1-round protocol sends only the initial singleton views:
-        // O(log n) bits per message.
-        let edges: Vec<(usize, usize)> = (0..63).map(|i| (i, i + 1)).collect();
-        let g = Graph::from_edges(64, &edges);
-        let ids = IdAssignment::sequential(64);
-        let res = MessagePassingRuntime.run(&g, &ids, &DegreeAlgo, 5).unwrap();
-        assert!(fits_congest(&res, 64, 4));
-    }
-
-    #[test]
-    fn deep_gathering_violates_congest() {
-        struct DeepAlgo;
-        impl crate::Decider for DeepAlgo {
-            type Output = usize;
-            fn decide(&self, view: &LocalView) -> Option<usize> {
-                (view.rounds() >= 6).then(|| view.vertex_ids().len())
-            }
-        }
-        // A dense-ish graph where 6-hop views carry many ids.
-        let mut g = Graph::new(64);
-        for i in 0..63 {
-            g.add_edge(i, i + 1);
-        }
-        for i in 0..60 {
-            g.add_edge(i, i + 4);
-        }
-        let ids = IdAssignment::sequential(64);
-        let res = MessagePassingRuntime.run(&g, &ids, &DeepAlgo, 10).unwrap();
-        assert!(!fits_congest(&res, 64, 4));
-        assert!(res.messages.max_bits().unwrap() > 4 * 6);
-        // Oracle runs fit vacuously: nothing was measured.
-        let oracle = OracleRuntime.run(&g, &ids, &DeepAlgo, 10).unwrap();
-        assert!(fits_congest(&oracle, 64, 4));
     }
 }

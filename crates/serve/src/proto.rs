@@ -145,7 +145,6 @@ pub fn parse_config_view(cfg: &Value) -> Result<SolveConfigView, WireError> {
         "id_policy",
         "id_seed",
         "round_cap",
-        "threads",
         "radii",
         "exact_backend",
         "opt_budget",
@@ -207,7 +206,6 @@ pub fn parse_config_view(cfg: &Value) -> Result<SolveConfigView, WireError> {
         round_cap: opt_u64("round_cap")?
             .map(|x| u32::try_from(x).map_err(|_| WireError::bad_request("round_cap too large")))
             .transpose()?,
-        threads: opt_u64("threads")?.map(|x| x as usize),
         radii,
         exact_backend: opt_str("exact_backend")?,
         opt_budget: opt_u64("opt_budget")?,
@@ -227,7 +225,6 @@ pub fn render_config_view(view: &SolveConfigView) -> Value {
         ("id_policy", opt_str(&view.id_policy)),
         ("id_seed", view.id_seed.map_or(Value::Null, Value::from)),
         ("round_cap", view.round_cap.map_or(Value::Null, |x| Value::from(u64::from(x)))),
-        ("threads", view.threads.map_or(Value::Null, Value::from)),
         (
             "radii",
             view.radii.map_or(Value::Null, |(a, b)| {
@@ -515,6 +512,31 @@ mod tests {
     }
 
     #[test]
+    fn threads_is_an_unknown_config_field() {
+        let err = parse_solve_request(br#"{"graph":"g","solver":"s","config":{"threads":2}}"#)
+            .unwrap_err();
+        assert_eq!((err.status, err.code), (400, "bad-request"));
+        assert!(err.message.contains("unknown config field \"threads\""), "{}", err.message);
+    }
+
+    #[test]
+    fn sharded_oracle_mode_round_trips_unchanged() {
+        let req = parse_solve_request(
+            br#"{"graph":"g","solver":"s","config":{"mode":"local-sharded-oracle"}}"#,
+        )
+        .unwrap();
+        assert_eq!(req.config.mode.as_deref(), Some("local-sharded-oracle"));
+        let cfg = req.config.try_into_config(Problem::MinDominatingSet).unwrap();
+        assert_eq!(cfg.mode, ExecutionMode::LOCAL_SHARDED);
+        let echoed = render_config_view(&lmds_api::SolveConfigView::from_config(&cfg));
+        assert_eq!(echoed.get("mode").and_then(Value::as_str), Some("local-sharded-oracle"));
+        assert_eq!(
+            parse_config_view(&echoed).unwrap().mode.as_deref(),
+            Some("local-sharded-oracle")
+        );
+    }
+
+    #[test]
     fn unknown_solver_envelope_carries_valid_keys() {
         let registry = lmds_api::SolverRegistry::with_defaults();
         let err = SolveError::UnknownSolver { key: "mds/nope".into(), known: registry.keys() };
@@ -566,6 +588,9 @@ mod tests {
             .unwrap();
         assert_ne!(config_fingerprint(&implicit), config_fingerprint(&local));
         assert!(config_fingerprint(&local).contains("local-oracle"));
+
+        // Worker counts change no output, so they are not part of the key.
+        assert!(!config_fingerprint(&local).contains("threads"), "{}", config_fingerprint(&local));
     }
 
     #[test]

@@ -369,12 +369,22 @@ fn error_envelopes_are_typed_and_carry_valid_keys() {
     let doc = assert_envelope(&resp, 400, "bad-request");
     assert!(doc.get("message").unwrap().as_str().unwrap().contains("mdoe"));
 
+    // Worker counts are not a config knob: `threads` is a typo like any other.
+    let resp = send(
+        addr,
+        "POST",
+        "/solve",
+        br#"{"graph": "known", "solver": "mds/exact", "config": {"threads": 2}}"#,
+    );
+    let doc = assert_envelope(&resp, 400, "bad-request");
+    assert!(doc.get("message").unwrap().as_str().unwrap().contains("threads"));
+
     // Semantically invalid config: 422.
     let resp = send(
         addr,
         "POST",
         "/solve",
-        br#"{"graph": "known", "solver": "mds/exact", "config": {"threads": 0}}"#,
+        br#"{"graph": "known", "solver": "mds/exact", "config": {"radii": [0, 1]}}"#,
     );
     assert_envelope(&resp, 422, "invalid-config");
 

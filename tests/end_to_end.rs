@@ -7,11 +7,10 @@ use lmds_core::distributed::{
 use lmds_core::mvc::algorithm1_mvc;
 use lmds_core::{algorithm1, theorem44_mds, theorem44_mvc, Radii};
 use lmds_graph::dominating::is_dominating_set;
+use lmds_graph::par;
 use lmds_graph::vertex_cover::is_vertex_cover;
 use lmds_graph::Graph;
-use lmds_localsim::{
-    IdAssignment, MessagePassingRuntime, OracleRuntime, Runtime, ShardedOracleRuntime,
-};
+use lmds_localsim::{IdAssignment, MessagePassingRuntime, OracleRuntime};
 
 fn workload() -> Vec<(String, Graph)> {
     let mut out: Vec<(String, Graph)> = vec![
@@ -81,8 +80,8 @@ fn all_three_runtimes_agree() {
     let dec = Algorithm1Decider { radii: Radii::practical(2, 2) };
     let cap = (2 * g.n() + 40) as u32;
     let a = OracleRuntime.run(&g, &ids, &dec, cap).unwrap();
-    let b = MessagePassingRuntime.run(&g, &ids, &dec, cap).unwrap();
-    let c = ShardedOracleRuntime { threads: 3 }.run(&g, &ids, &dec, cap).unwrap();
+    let b = MessagePassingRuntime::default().run(&g, &ids, &dec, cap).unwrap();
+    let c = par::with_workers(3, || OracleRuntime.run(&g, &ids, &dec, cap)).unwrap();
     assert_eq!(a.outputs, b.outputs);
     assert_eq!(a.outputs, c.outputs);
     assert_eq!(a.decided_at, b.decided_at);

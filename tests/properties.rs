@@ -245,7 +245,7 @@ fn interesting_cut_families_are_legal() {
 #[test]
 fn mvc_distributed_matches_centralized() {
     use lmds_core::distributed::MvcAlgorithm1Decider;
-    use lmds_localsim::{OracleRuntime, Runtime};
+    use lmds_localsim::OracleRuntime;
     let radii = Radii::practical(2, 2);
     for (seed, g) in corpus().into_iter().step_by(2) {
         let ids = IdAssignment::shuffled(g.n(), seed);

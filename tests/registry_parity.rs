@@ -8,7 +8,7 @@
 use lmds_api::{ExecutionMode, Instance, SolveConfig, SolverRegistry};
 use lmds_asdim::ControlFunction;
 use lmds_core::{algorithm1, algorithm2, baselines, theorem44_mds, theorem44_mvc, Radii};
-use lmds_graph::Graph;
+use lmds_graph::{par, Graph};
 use lmds_localsim::IdAssignment;
 
 const RADII: Radii = Radii { one_cut: 2, two_cut: 2 };
@@ -123,10 +123,15 @@ fn every_execution_mode_agrees_with_centralized() {
                 ExecutionMode::LOCAL_MESSAGE_PASSING,
                 ExecutionMode::LOCAL_SHARDED,
             ] {
-                let cfg = config_for(&registry, key).mode(mode).threads(3);
-                let sol = registry
-                    .solve(key, &inst, &cfg)
-                    .unwrap_or_else(|e| panic!("{key} {mode} on {name}: {e}"));
+                let cfg = config_for(&registry, key).mode(mode);
+                // The sharded name runs the oracle on 3 forced workers.
+                let solve = || registry.solve(key, &inst, &cfg);
+                let sol = if mode == ExecutionMode::LOCAL_SHARDED {
+                    par::with_workers(3, solve)
+                } else {
+                    solve()
+                }
+                .unwrap_or_else(|e| panic!("{key} {mode} on {name}: {e}"));
                 assert_eq!(
                     sol.vertices, reference.vertices,
                     "{key} on {name}: {mode} diverges from centralized"

@@ -15,7 +15,7 @@ use lmds_api::{
 use lmds_asdim::ControlFunction;
 use lmds_core::Radii;
 use lmds_gen::ding::AugmentationSpec;
-use lmds_graph::Graph;
+use lmds_graph::{par, Graph};
 
 const RADII: Radii = Radii { one_cut: 2, two_cut: 2 };
 const AFFINE: ControlFunction = ControlFunction::Affine { a: 1, b: 1, dim: 1 };
@@ -169,12 +169,12 @@ fn paper_ratio_bounds_hold_against_the_exact_solvers() {
     }
 }
 
-/// The runtime-equivalence contract: for every distributed registry
+/// The engine-equivalence contract: for every distributed registry
 /// solver, the message-passing, oracle, sharded-oracle, and (zero-
-/// fault) faulty backends must produce bit-identical outputs, identical
+/// fault) faulty names must produce bit-identical outputs, identical
 /// round counts, and identical decided-at histograms — under the
 /// instance's own ids and under every scenario id policy — and only the
-/// backends that really pass messages may claim measured bits.
+/// names that run the message-passing engine may claim measured bits.
 #[test]
 fn distributed_backends_are_bit_identical_across_id_policies() {
     let registry = SolverRegistry::with_defaults();
@@ -196,19 +196,22 @@ fn distributed_backends_are_bit_identical_across_id_policies() {
                     // An explicitly present but *inert* fault plan (the
                     // seed alone injects nothing) must be accepted by
                     // every runtime kind and leave the bit-identity
-                    // contract untouched — including the faulty
-                    // runtime, whose zero-fault path is the
-                    // message-passing loop verbatim.
+                    // contract untouched — including `faulty`, which
+                    // runs the message-passing engine on that plan.
                     let mut cfg = config_for(&registry, key)
                         .mode(ExecutionMode::Local(kind))
-                        .fault(FaultConfig { seed: 5, ..FaultConfig::default() })
-                        .threads(3);
+                        .fault(FaultConfig { seed: 5, ..FaultConfig::default() });
                     if let Some(p) = policy {
                         cfg = cfg.id_policy(p);
                     }
-                    let sol = registry
-                        .solve(key, &inst, &cfg)
-                        .unwrap_or_else(|e| panic!("{key} {kind} on {}: {e}", inst.name));
+                    // `sharded-oracle` runs the oracle on 3 forced workers,
+                    // so the multi-worker path meets the same contract.
+                    let solve = || registry.solve(key, &inst, &cfg);
+                    let sol = match kind {
+                        RuntimeKind::ShardedOracle => par::with_workers(3, solve),
+                        _ => solve(),
+                    }
+                    .unwrap_or_else(|e| panic!("{key} {kind} on {}: {e}", inst.name));
                     sol.verify(&inst).unwrap_or_else(|e| {
                         panic!("{key} {kind} on {} {policy:?}: {e}", inst.name)
                     });
@@ -360,7 +363,8 @@ fn batch_runner_matches_direct_solves() {
         .into_iter()
         .map(|key| BatchJob::new(key, config_for(&registry, key)))
         .collect();
-    for rec in BatchRunner::with_threads(4).run(&registry, &jobs, &instances) {
+    let records = par::with_workers(4, || BatchRunner::new().run(&registry, &jobs, &instances));
+    for rec in records {
         let sol = rec.result.unwrap_or_else(|e| panic!("{}/{}: {e}", rec.solver, rec.instance));
         let inst = instances.iter().find(|i| i.name == rec.instance).expect("known instance");
         let direct = registry
