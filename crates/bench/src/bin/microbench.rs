@@ -386,11 +386,12 @@ fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
 /// sweeps (`X`, `I`, all local 2-cuts) and the full centralized
 /// Algorithm 1 pipeline, on the pre-engine n=41 augmentation and on the
 /// engine-scale instances (n ≥ 500 augmentations, n ≥ 1000
-/// outerplanar). The n=41 rows get a paired "(naive)" row running the
-/// reference predicates, so the shared-work win is measured by the same
-/// harness; on the large instances the naive path is far too slow to
-/// rerun per invocation — the committed before numbers live in
-/// `results/cut_engine_speedup.md`.
+/// outerplanar), plus the `I` sweep on the n=1040 augmentation at the
+/// radius pairs (1,2) and (3,5). The n=41 rows get a paired "(naive)"
+/// row running the reference predicates, so the shared-work win is
+/// measured by the same harness; on the large instances the naive path
+/// is far too slow to rerun per invocation — the committed before
+/// numbers live in `results/cut_engine_speedup.md`.
 fn cuts_benches(iters: u32) -> Vec<BenchRow> {
     use lmds_core::local_cuts::{self, CutEngine};
     let mut rows: Vec<BenchRow> = Vec::new();
@@ -432,6 +433,16 @@ fn cuts_benches(iters: u32) -> Vec<BenchRow> {
             sol.size()
         });
         push("pipeline (mds/algorithm1, centralized)", &inst.name, inst.n(), stats, size);
+    }
+    // The I sweep at the other radius pairs, so a change to the 2-cut
+    // sweep is measured at more than one radius.
+    let aug1040 = &instances[2].graph;
+    for (one, two) in [(1, 2), (3, 5)] {
+        let mut engine = CutEngine::new();
+        let (stats, sum) =
+            sample(iters, || engine.interesting_mask(aug1040, two).iter().filter(|&&m| m).count());
+        let bench = format!("I sweep (interesting_mask) at ({one},{two})");
+        push(&bench, &instances[2].name, aug1040.n(), stats, sum);
     }
     // Naive reference rows on the small instance only.
     let g = &small.graph;

@@ -122,10 +122,9 @@ pub fn pipeline_state_with(
     let rg = &reduced.graph;
     let rn = rg.n();
 
-    // Both masks ride the shared-work CutEngine (balls once, each
-    // unordered pair once, sharded outer loops on large quotients); the
-    // thread-local pool reuses one engine per worker across the many
-    // per-view calls the adaptive LOCAL deciders make.
+    // Both masks ride the shared-work CutEngine (only candidate pairs
+    // profiled, each once; sharded per-vertex passes on large
+    // quotients).
     let (x, i) = local_cuts::with_thread_engine(|engine| {
         let x = engine.one_cut_mask(rg, radii.one_cut);
         let i = if opts.interesting_filter {

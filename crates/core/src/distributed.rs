@@ -1083,8 +1083,7 @@ impl Decider for MvcAlgorithm1Decider {
         let dist = bfs::bfs_distances(&vg, center);
         // S = local 1-cuts ∪ all local-2-cut vertices (computed on the
         // view; trusted within depth k − margin). Both masks ride the
-        // shared-work CutEngine, reused across rounds through the
-        // thread-local pool.
+        // shared-work CutEngine.
         let in_s: Vec<bool> = crate::local_cuts::with_thread_engine(|engine| {
             let one = engine.one_cut_mask(&vg, self.radii.one_cut);
             let two = engine.two_cut_endpoint_mask(&vg, self.radii.two_cut);

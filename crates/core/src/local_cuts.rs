@@ -11,16 +11,17 @@
 //! Two implementations live here:
 //!
 //! * The **[`CutEngine`]** — the production path. One engine run
-//!   computes every per-vertex ball exactly once, evaluates each
-//!   unordered candidate pair `{u, v}` exactly once (both
+//!   computes, per vertex `u`, a small **candidate set** `C(u)` of
+//!   possible cut partners (the filter lemma below), profiles each
+//!   unordered pair with `v ∈ C(u)` and `u ∈ C(v)` exactly once (both
 //!   interestingness orientations fall out of a single
 //!   [`pair_profile_within`](lmds_graph::two_cuts::pair_profile_within)
 //!   component scan of `H − {u, v}`, with no subgraph ever
-//!   materialized), and shards the per-vertex outer loops through
+//!   materialized), and shards both per-vertex passes through
 //!   [`lmds_graph::par`] on large graphs. All whole-graph queries
 //!   ([`local_one_cut_vertices`], [`local_two_cuts`],
 //!   [`interesting_vertices`]) and the Algorithm 1 pipeline ride it via
-//!   the thread-local [`with_thread_engine`] pool.
+//!   [`with_thread_engine`].
 //! * The **naive reference predicates** ([`is_local_one_cut`],
 //!   [`is_local_two_cut`], [`is_interesting_via`], [`is_interesting`]) —
 //!   direct transcriptions of Definition 2.1/§3.2 that extract each
@@ -29,13 +30,27 @@
 //!   engine matches them bit-for-bit across the generator corpus, so
 //!   engine outputs are byte-identical to the pre-engine ones.
 //!
+//! # The candidate filter
+//!
+//! Let `L_u = G[N^r[u] ∖ {u}]` be the punctured ball of `u`, and let
+//! `{u, v}` be an `r`-local minimal 2-cut with host `H`. Every vertex
+//! of `H` has a shortest path to `u` or `v` inside `H`, so every
+//! component of `H − {u, v}` touches `u` or `v`; minimality leaves at
+//! least two components, each touching both. `L_u − v` is a subgraph of
+//! `H − {u, v}`, so its components are finer, and therefore
+//! **`N(u) ∖ {v}` meets at least two components of `L_u − v`**. The
+//! candidate set `C(u)` is the set of `v ∈ L_u` passing this test; it
+//! falls out of one lowpoint DFS over `L_u` (see `BallDfs`). A pair is
+//! profiled only if `v ∈ C(u)` and `u ∈ C(v)`; every other pair is
+//! provably not a local minimal 2-cut, so the filter changes no output.
+//!
 //! The distributed algorithms recompute the same predicates from node
 //! views and are tested to agree.
 
 use lmds_graph::bfs;
 use lmds_graph::par;
 use lmds_graph::scratch::Scratch;
-use lmds_graph::two_cuts;
+use lmds_graph::two_cuts::{self, PairProfile};
 use lmds_graph::{Graph, InducedSubgraph, SubsetScratch, Vertex};
 use std::cell::RefCell;
 
@@ -44,10 +59,11 @@ use std::cell::RefCell;
 /// What is shared within one run, and why the outputs cannot drift from
 /// the naive reference:
 ///
-/// * **Balls once.** Every `N^r[v]` is computed once into a flat CSR-ish
-///   index; the naive path re-derives balls per pair and re-checks
-///   `d(u, v)` with a full-graph BFS, but "`d(u, v) ≤ r`" is exactly
-///   "`v ∈ N^r[u]`" — a lookup in the index, same predicate.
+/// * **Candidates first.** One pass computes every candidate set `C(v)`
+///   (the [module-level filter lemma](self#the-candidate-filter)) into a
+///   flat index. Every `w ∈ C(v)` lies in `N^r[v] ∖ {v}`, so the pairs
+///   the sweep visits satisfy "`d(u, v) ≤ r`" by construction, and every
+///   pair it skips provably fails the 2-cut predicate.
 /// * **Pairs once.** `{u, v}` and `{v, u}` name the same cut `H`; the
 ///   engine scans `H − {u, v}` once and reads off both interestingness
 ///   orientations (witness components non-adjacent to `u` mark `v`, and
@@ -57,30 +73,69 @@ use std::cell::RefCell;
 ///   [`articulation::is_cut_vertex_within`](lmds_graph::articulation::is_cut_vertex_within),
 ///   which traverse `G` restricted to an epoch-marked member set —
 ///   no `InducedSubgraph` construction, no per-pair allocation.
-/// * **Sharding is observation-free.** The per-vertex outer loops run
+/// * **Sharding is observation-free.** The per-vertex passes run
 ///   through [`lmds_graph::par`]: the 1-cut mask is filled per vertex,
-///   and each pair-sweep worker marks a private monotone mask that is
-///   OR-merged, so the result is independent of the worker count and
-///   schedule.
+///   the candidate index is folded over contiguous vertex ranges and
+///   concatenated in order, and each pair-sweep worker marks a private
+///   monotone mask that is OR-merged (or collects its own pairs, which
+///   concatenate in sorted order), so the result is independent of the
+///   worker count and schedule.
 ///
-/// A `CutEngine` holds only the ball index of its last run (the
-/// traversal buffers live in a per-thread pool, so every sweep worker
-/// has its own); it holds no graph state between runs and may serve
-/// graphs of different sizes back to back.
+/// A `CutEngine` holds no state between runs (the traversal buffers
+/// live in a per-thread pool, so every sweep worker has its own), and
+/// may serve graphs of different sizes back to back.
 ///
-/// **Memory profile:** the pair sweeps hold every ball of the run at
-/// once — `O(Σ_v |N^r[v]|)` words. That is the deliberate trade of
-/// this engine (balls are the shared work), sized for the paper's
-/// regime: minor-free graphs at small local radii, where balls are
-/// bounded. At radii near the diameter, or on dense graphs, the index
-/// degenerates to `Θ(n²)` — the same regime where the predicates
-/// themselves are quadratic; keep such runs to analysis-scale inputs
+/// **Memory profile:** a pair sweep holds its candidate index —
+/// `O(Σ_v |C(v)|)` words, against `O(Σ_v |N^r[v]|)` for a ball index
+/// (about a quarter of it on the scale family at `r = 3`) — and frees
+/// it before returning. Balls and cut neighbourhoods are rebuilt
+/// transiently per vertex and per profiled pair. The predicates
+/// themselves are quadratic in ball sizes, so at radii near the
+/// diameter, or on dense graphs, keep runs to analysis-scale inputs
 /// (as the pre-engine implementations also required).
 #[derive(Debug, Default)]
-pub struct CutEngine {
-    /// Flat per-vertex ball index for the current radius-`r` run.
-    ball_offsets: Vec<usize>,
-    ball_verts: Vec<Vertex>,
+pub struct CutEngine;
+
+/// The candidate sets `C(v)` of one radius-`r` run, flat: `C(v)` is
+/// `verts[ends[v - 1]..ends[v]]` (from 0 for `v = 0`), sorted.
+struct CandidateIndex {
+    ends: Vec<usize>,
+    verts: Vec<Vertex>,
+}
+
+impl CandidateIndex {
+    /// One pass over the vertices, folded over contiguous ranges and
+    /// concatenated in order.
+    fn build(g: &Graph, r: u32) -> Self {
+        let n = g.n();
+        let (ends, verts) = par::fold(
+            n,
+            par::workers(n, par::BALL_GRAIN),
+            || (Vec::new(), Vec::new()),
+            |(ends, verts), u| {
+                with_sweep_buffers(|b| b.dfs.candidates_into(g, u, r, verts));
+                ends.push(verts.len());
+            },
+            |(mut ends, mut verts), (part_ends, part_verts)| {
+                let base = verts.len();
+                ends.extend(part_ends.into_iter().map(|e| e + base));
+                verts.extend(part_verts);
+                (ends, verts)
+            },
+        );
+        Self { ends, verts }
+    }
+
+    /// `C(v)`, sorted.
+    fn candidates(&self, v: Vertex) -> &[Vertex] {
+        let start = if v == 0 { 0 } else { self.ends[v - 1] };
+        &self.verts[start..self.ends[v]]
+    }
+
+    /// Whether the sweep profiles `{u, v}`: `v ∈ C(u)` and `u ∈ C(v)`.
+    fn admits(&self, u: Vertex, v: Vertex) -> bool {
+        self.candidates(u).binary_search(&v).is_ok() && self.candidates(v).binary_search(&u).is_ok()
+    }
 }
 
 /// The traversal buffers one sweep worker reuses across vertices.
@@ -88,10 +143,9 @@ pub struct CutEngine {
 struct SweepBuffers {
     scratch: Scratch,
     subset: SubsetScratch,
-    /// Merge buffer for `H = N^r[u] ∪ N^r[v]`.
-    merged: Vec<Vertex>,
-    /// Single-ball buffer.
+    /// A ball `N^r[v]` or a cut neighbourhood `N^r[{u, v}]`.
     ball: Vec<Vertex>,
+    dfs: BallDfs,
 }
 
 impl SweepBuffers {
@@ -99,21 +153,162 @@ impl SweepBuffers {
         bfs::ball_of_set_into(g, &mut self.scratch, &[v], r, &mut self.ball);
         lmds_graph::articulation::is_cut_vertex_within(g, &mut self.subset, &self.ball, v)
     }
+
+    /// The component profile of `H − {u, v}`, `H = G[N^r[{u, v}]]`.
+    fn profile(&mut self, g: &Graph, u: Vertex, v: Vertex, r: u32) -> PairProfile {
+        bfs::ball_of_set_unsorted_into(g, &mut self.scratch, &[u, v], r, &mut self.ball);
+        two_cuts::pair_profile_within(g, &mut self.subset, &self.ball, u, v)
+    }
 }
 
-/// What the pair sweep records into the mask.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PairMode {
-    /// Mark `v` iff interesting via some friend (the §3.2 filter).
-    Interesting,
-    /// Mark both endpoints of every local minimal 2-cut.
-    Endpoints,
+/// The lowpoint DFS over a punctured ball `L_u = G[N^r[u] ∖ {u}]` that
+/// yields the candidate set `C(u)`.
+///
+/// Each component of `L_u` contains a neighbour of `u` (the last step
+/// of a shortest path to `u`), so the DFS is rooted at neighbours of
+/// `u` and counts the `u`-neighbours in every subtree. For a vertex `w`
+/// of `L_u`, the components of `L_u − w` holding a `u`-neighbour are:
+/// the other components of `L_u`; within `w`'s own component, each
+/// child subtree `x` with `low[x] ≥ disc[w]` holding one; and, unless
+/// `w` is a root, the rest of the component, which holds the root.
+/// `w ∈ C(u)` iff that count is at least two.
+///
+/// The ball is gathered breadth-first into `ball` (so the neighbours of
+/// `u` come first); vertex-indexed state is epoch-stamped and reused
+/// across calls, and the per-vertex DFS state is indexed by position in
+/// `ball`.
+#[derive(Debug, Default)]
+struct BallDfs {
+    epoch: u32,
+    /// `(epoch, position)` per vertex: `v` was reached by the current
+    /// search iff the epoch is current; `u` itself has position
+    /// [`CENTER`].
+    slot: Vec<(u32, u32)>,
+    /// `L_u`'s vertices in breadth-first order.
+    ball: Vec<Vertex>,
+    /// Per position in `ball`.
+    nodes: Vec<DfsNode>,
+    /// DFS stack: position and the next neighbour index to scan.
+    stack: Vec<(usize, usize)>,
+}
+
+/// The [`BallDfs::slot`] position marking the ball's center.
+const CENTER: u32 = u32::MAX;
+
+/// The DFS state of one vertex `w` of `L_u`.
+#[derive(Debug, Default, Clone, Copy)]
+struct DfsNode {
+    /// Discovery time (0 = undiscovered) and lowpoint.
+    disc: u32,
+    low: u32,
+    /// `u`-neighbours in the DFS subtree of `w`.
+    hits: u32,
+    /// Components of `L_u − w` holding a `u`-neighbour, counted within
+    /// `w`'s own component of `L_u`.
+    pieces: u32,
+}
+
+impl BallDfs {
+    /// Appends `C(u)`, sorted, to `out`.
+    fn candidates_into(&mut self, g: &Graph, u: Vertex, r: u32, out: &mut Vec<Vertex>) {
+        if self.slot.len() < g.n() {
+            self.slot.resize(g.n(), (0, 0));
+        }
+        if self.epoch == u32::MAX {
+            self.slot.fill((0, 0));
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.ball.clear();
+        self.nodes.clear();
+        if r == 0 {
+            return;
+        }
+        // Breadth-first, layer by layer: layer 1 is N(u).
+        self.slot[u] = (epoch, CENTER);
+        for &w in g.neighbors(u) {
+            self.slot[w as usize] = (epoch, self.ball.len() as u32);
+            self.ball.push(w as Vertex);
+            self.nodes.push(DfsNode { hits: 1, ..DfsNode::default() });
+        }
+        let degree = self.ball.len();
+        let mut layer = 0..degree;
+        for _ in 1..r {
+            let next = layer.end;
+            for i in layer {
+                for &y in g.neighbors(self.ball[i]) {
+                    if self.slot[y as usize].0 != epoch {
+                        self.slot[y as usize] = (epoch, self.ball.len() as u32);
+                        self.ball.push(y as Vertex);
+                        self.nodes.push(DfsNode::default());
+                    }
+                }
+            }
+            layer = next..self.ball.len();
+        }
+        let (slot, ball, nodes) = (&self.slot, &self.ball, &mut self.nodes);
+        let position = |w: u32| match slot[w as usize] {
+            (e, i) if e == epoch && i != CENTER => Some(i as usize),
+            _ => None,
+        };
+        let (mut time, mut components) = (0u32, 0u32);
+        for root in 0..degree {
+            if nodes[root].disc != 0 {
+                continue;
+            }
+            components += 1;
+            time += 1;
+            nodes[root].disc = time;
+            nodes[root].low = time;
+            self.stack.push((root, 0));
+            'dfs: while let Some(&(x, next)) = self.stack.last() {
+                let nbrs = g.neighbors(ball[x]);
+                let mut low = nodes[x].low;
+                for (i, y) in nbrs.iter().enumerate().skip(next) {
+                    let Some(y) = position(*y) else { continue };
+                    let disc = nodes[y].disc;
+                    if disc == 0 {
+                        nodes[x].low = low;
+                        self.stack.last_mut().expect("x is on the stack").1 = i + 1;
+                        time += 1;
+                        // `pieces` starts at 1: the rest of the component,
+                        // which holds the root.
+                        nodes[y] =
+                            DfsNode { disc: time, low: time, hits: nodes[y].hits, pieces: 1 };
+                        self.stack.push((y, 0));
+                        continue 'dfs;
+                    }
+                    low = low.min(disc);
+                }
+                nodes[x].low = low;
+                self.stack.pop();
+                if let Some(&(p, _)) = self.stack.last() {
+                    let child = nodes[x];
+                    let parent = &mut nodes[p];
+                    parent.low = parent.low.min(child.low);
+                    parent.hits += child.hits;
+                    if child.low >= parent.disc && child.hits > 0 {
+                        parent.pieces += 1;
+                    }
+                }
+            }
+        }
+        let first = out.len();
+        out.extend(
+            ball.iter()
+                .zip(nodes.iter())
+                .filter(|(_, n)| n.pieces + components >= 3)
+                .map(|(&v, _)| v),
+        );
+        out[first..].sort_unstable();
+    }
 }
 
 impl CutEngine {
-    /// A fresh engine (buffers grow on first use).
+    /// A fresh engine.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// The mask of `r`-local minimal 1-cut vertices: `mask[v]` iff `v`
@@ -129,166 +324,117 @@ impl CutEngine {
     /// The mask of `r`-interesting vertices. Equals [`is_interesting`]
     /// per vertex.
     pub fn interesting_mask(&mut self, g: &Graph, r: u32) -> Vec<bool> {
-        self.pair_mask(g, r, PairMode::Interesting)
+        mark_cuts(g, r, |mask, u, v, profile| {
+            // v is interesting via friend u: ≥ 2 witness components
+            // non-adjacent to u, and N[v] ⊄ N[u]; symmetrically for u.
+            if !mask[v] && profile.witnesses_nonadj_a >= 2 && !g.closed_neighborhood_subset(v, u) {
+                mask[v] = true;
+            }
+            if !mask[u] && profile.witnesses_nonadj_b >= 2 && !g.closed_neighborhood_subset(u, v) {
+                mask[u] = true;
+            }
+        })
     }
 
     /// The mask of vertices lying in *some* `r`-local minimal 2-cut
     /// (both endpoints, no interestingness filter — the MVC variant's
     /// `S` contribution and the `interesting_filter: false` ablation).
     pub fn two_cut_endpoint_mask(&mut self, g: &Graph, r: u32) -> Vec<bool> {
-        self.pair_mask(g, r, PairMode::Endpoints)
-    }
-
-    /// All `r`-local minimal 2-cuts as `(u, v)` pairs with `u < v`,
-    /// sorted — [`local_two_cuts`]' engine. Every qualifying pair is
-    /// evaluated (no early exit), each exactly once.
-    pub fn two_cuts(&mut self, g: &Graph, r: u32) -> Vec<(Vertex, Vertex)> {
-        self.compute_balls(g, r);
-        let ball = |w: Vertex| &self.ball_verts[self.ball_offsets[w]..self.ball_offsets[w + 1]];
-        with_sweep_buffers(|b| {
-            let mut out = Vec::new();
-            for u in g.vertices() {
-                for &v in ball(u) {
-                    if v <= u {
-                        continue;
-                    }
-                    merge_sorted(ball(u), ball(v), &mut b.merged);
-                    let profile = two_cuts::pair_profile_within(g, &mut b.subset, &b.merged, u, v);
-                    if profile.is_minimal_two_cut() {
-                        out.push((u, v));
-                    }
-                }
-            }
-            out
+        mark_cuts(g, r, |mask, u, v, _| {
+            mask[u] = true;
+            mask[v] = true;
         })
     }
 
-    /// Fills the flat ball index for radius `r`.
-    fn compute_balls(&mut self, g: &Graph, r: u32) {
-        self.ball_offsets.clear();
-        self.ball_verts.clear();
-        self.ball_offsets.push(0);
-        with_sweep_buffers(|b| {
-            for v in g.vertices() {
-                bfs::ball_of_set_into(g, &mut b.scratch, &[v], r, &mut b.ball);
-                self.ball_verts.extend_from_slice(&b.ball);
-                self.ball_offsets.push(self.ball_verts.len());
-            }
-        });
-    }
-
-    /// The shared pair sweep: every unordered pair `{u, v}` with
-    /// `d(u, v) ≤ r` (read off the ball index) evaluated once. Pairs
-    /// whose both endpoints are already marked are skipped — marking is
-    /// monotone, so this prunes work without changing the result.
-    fn pair_mask(&mut self, g: &Graph, r: u32, mode: PairMode) -> Vec<bool> {
-        self.compute_balls(g, r);
-        let n = g.n();
-        let (offsets, verts) = (&self.ball_offsets, &self.ball_verts);
-        par::fold(
-            n,
-            par::workers(n, par::BALL_GRAIN),
-            || vec![false; n],
-            |mask, u| with_sweep_buffers(|b| scan_pairs_for(g, offsets, verts, b, u, mode, mask)),
+    /// All `r`-local minimal 2-cuts as `(u, v)` pairs with `u < v`,
+    /// sorted — [`local_two_cuts`]' engine. Every candidate pair is
+    /// profiled (no early exit), each exactly once.
+    pub fn two_cuts(&mut self, g: &Graph, r: u32) -> Vec<(Vertex, Vertex)> {
+        // Workers own contiguous ranges of `u` and concatenate left to
+        // right, so the pairs arrive sorted.
+        sweep_cuts(
+            g,
+            r,
+            Vec::new,
+            |_, _, _| false,
+            |cuts, u, v, _| cuts.push((u, v)),
             |mut acc, part| {
-                for (m, p) in acc.iter_mut().zip(part) {
-                    *m |= p;
-                }
+                acc.extend(part);
                 acc
             },
         )
     }
 }
 
-/// One outer-loop step of the pair sweep: all pairs `{u, v}` with
-/// `v ∈ N^r[u]`, `v > u`, marked into the worker's `mask`.
-fn scan_pairs_for(
+/// A pair sweep whose accumulator is a monotone vertex mask: pairs
+/// whose both endpoints are already marked are skipped, which prunes
+/// work without changing the result.
+fn mark_cuts(
     g: &Graph,
-    ball_offsets: &[usize],
-    ball_verts: &[Vertex],
-    buffers: &mut SweepBuffers,
-    u: Vertex,
-    mode: PairMode,
-    mask: &mut [bool],
-) {
-    let ball = |w: Vertex| &ball_verts[ball_offsets[w]..ball_offsets[w + 1]];
-    for &v in ball(u) {
-        if v <= u || (mask[u] && mask[v]) {
-            continue;
-        }
-        merge_sorted(ball(u), ball(v), &mut buffers.merged);
-        let profile = two_cuts::pair_profile_within(g, &mut buffers.subset, &buffers.merged, u, v);
-        if !profile.is_minimal_two_cut() {
-            continue;
-        }
-        match mode {
-            PairMode::Endpoints => {
-                mask[u] = true;
-                mask[v] = true;
+    r: u32,
+    mark: impl Fn(&mut Vec<bool>, Vertex, Vertex, &PairProfile) + Sync,
+) -> Vec<bool> {
+    let n = g.n();
+    sweep_cuts(
+        g,
+        r,
+        || vec![false; n],
+        |mask, u, v| mask[u] && mask[v],
+        mark,
+        |mut acc, part| {
+            for (m, p) in acc.iter_mut().zip(part) {
+                *m |= p;
             }
-            PairMode::Interesting => {
-                // v is interesting via friend u: ≥ 2 witness components
-                // non-adjacent to u, and N[v] ⊄ N[u]; symmetrically for u.
-                if !mask[v]
-                    && profile.witnesses_nonadj_a >= 2
-                    && !g.closed_neighborhood_subset(v, u)
-                {
-                    mask[v] = true;
-                }
-                if !mask[u]
-                    && profile.witnesses_nonadj_b >= 2
-                    && !g.closed_neighborhood_subset(u, v)
-                {
-                    mask[u] = true;
-                }
-            }
-        }
-    }
+            acc
+        },
+    )
 }
 
-/// Merges two sorted vertex lists into `out` (cleared first), dropping
-/// duplicates.
-fn merge_sorted(a: &[Vertex], b: &[Vertex], out: &mut Vec<Vertex>) {
-    out.clear();
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+/// The shared pair sweep: every unordered pair `{u, v}`, `u < v`,
+/// with `v ∈ C(u)` and `u ∈ C(v)` that `skip` does not rule out is
+/// profiled once, and `on_cut` folds each local minimal 2-cut into
+/// the worker's accumulator. Workers own contiguous ranges of `u`;
+/// `merge` combines their accumulators left to right.
+fn sweep_cuts<A: Send>(
+    g: &Graph,
+    r: u32,
+    init: impl Fn() -> A + Sync,
+    skip: impl Fn(&A, Vertex, Vertex) -> bool + Sync,
+    on_cut: impl Fn(&mut A, Vertex, Vertex, &PairProfile) + Sync,
+    merge: impl FnMut(A, A) -> A,
+) -> A {
+    let index = CandidateIndex::build(g, r);
+    let n = g.n();
+    par::fold(
+        n,
+        par::workers(n, par::BALL_GRAIN),
+        init,
+        |acc, u| {
+            with_sweep_buffers(|b| {
+                for &v in index.candidates(u) {
+                    if v <= u || skip(acc, u, v) || !index.admits(u, v) {
+                        continue;
+                    }
+                    let profile = b.profile(g, u, v, r);
+                    if profile.is_minimal_two_cut() {
+                        on_cut(acc, u, v, &profile);
+                    }
+                }
+            })
+        },
+        merge,
+    )
 }
 
 thread_local! {
-    static ENGINE_POOL: RefCell<CutEngine> = RefCell::new(CutEngine::new());
     static SWEEP_POOL: RefCell<SweepBuffers> = RefCell::new(SweepBuffers::default());
 }
 
-/// Runs `f` with this thread's pooled [`CutEngine`] — the same pattern
-/// as [`lmds_graph::scratch::with_thread_scratch`]. The adaptive LOCAL
-/// deciders call the pipeline once per vertex per round; the pool makes
-/// those calls reuse one ball index per thread. Falls back to a fresh
-/// engine if the pooled one is already borrowed (nested call), with
-/// identical results.
+/// Runs `f` with a [`CutEngine`]. The engine holds no state between
+/// runs, so this is plain `f(&mut CutEngine)`; it is kept as the one
+/// call shape every whole-graph query and pipeline phase uses.
 pub fn with_thread_engine<R>(f: impl FnOnce(&mut CutEngine) -> R) -> R {
-    ENGINE_POOL.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut e) => f(&mut e),
-        Err(_) => f(&mut CutEngine::new()),
-    })
+    f(&mut CutEngine)
 }
 
 /// Runs `f` with this thread's pooled sweep buffers: the caller's warm
@@ -312,10 +458,10 @@ pub fn local_one_cut_vertices(g: &Graph, r: u32) -> Vec<Vertex> {
 }
 
 /// All `r`-local minimal 2-cuts of `g`, as `(u, v)` pairs with `u < v`,
-/// sorted. Engine-backed: each unordered pair within distance `r` is
-/// profiled exactly once, with no subgraph construction. Quadratic in
-/// ball sizes (and the engine holds all balls at once) — intended for
-/// the bounded-ball radii of the pipeline and the analysis
+/// sorted. Engine-backed: each unordered candidate pair (see the
+/// [module-level filter](self#the-candidate-filter)) is profiled exactly
+/// once, with no subgraph construction. Quadratic in ball sizes —
+/// intended for the bounded-ball radii of the pipeline and the analysis
 /// experiments.
 pub fn local_two_cuts(g: &Graph, r: u32) -> Vec<(Vertex, Vertex)> {
     with_thread_engine(|e| e.two_cuts(g, r))
@@ -578,6 +724,39 @@ mod tests {
                 assert_eq!(endpoints, endpoint_ref, "endpoints r={r} {g:?}");
             }
         }
+    }
+
+    #[test]
+    fn candidate_filter_rejects_only_non_cuts() {
+        // Stronger than mask equality (a wrongly skipped pair can hide
+        // behind a vertex marked through another pair): every pair within
+        // distance r that the filter rejects must fail the naive 2-cut
+        // predicate.
+        let mut graphs =
+            vec![cycle(12), path(9), lmds_gen::adversarial::subdivided_k2t(3), cycle(6), cycle(4)];
+        graphs.extend((0..2).map(|seed| lmds_gen::ding::scale_instance(300, seed)));
+        let (mut rejected, mut admitted) = (0usize, 0usize);
+        for g in &graphs {
+            for r in 1..=6u32 {
+                let index = CandidateIndex::build(g, r);
+                for u in g.vertices() {
+                    for v in bfs::ball(g, u, r).into_iter().filter(|&v| v > u) {
+                        if index.admits(u, v) {
+                            admitted += 1;
+                        } else {
+                            rejected += 1;
+                            assert!(
+                                !is_local_two_cut(g, u, v, r),
+                                "filter rejected the local 2-cut ({u},{v}) at r={r} on n={}",
+                                g.n()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // The filter must actually filter on this corpus.
+        assert!(rejected > admitted, "rejected {rejected}, admitted {admitted}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct MvcOutput {
 
 /// Algorithm 1 for MVC, centralized reference.
 pub fn algorithm1_mvc(g: &Graph, ids: &IdAssignment, radii: Radii) -> MvcOutput {
-    // Both sweeps through one pooled CutEngine: the endpoint mask is
+    // Both sweeps through the CutEngine: the endpoint mask is
     // the deduplicated pair union directly (with the engine's pair
     // pruning and sharding), no flatten/sort/dedup pass.
     let (x_set, two_cut_set) = local_cuts::with_thread_engine(|engine| {

@@ -186,6 +186,19 @@ pub fn ball_of_set_into(
     r: u32,
     out: &mut Vec<Vertex>,
 ) {
+    ball_of_set_unsorted_into(g, scratch, set, r, out);
+    out.sort_unstable();
+}
+
+/// [`ball_of_set_into`] without the final sort: `out` holds `N^r[set]`
+/// in breadth-first order, for callers that only need the members.
+pub fn ball_of_set_unsorted_into(
+    g: &Graph,
+    scratch: &mut Scratch,
+    set: &[Vertex],
+    r: u32,
+    out: &mut Vec<Vertex>,
+) {
     out.clear();
     scratch.begin(g.n());
     for &s in set {
@@ -212,7 +225,6 @@ pub fn ball_of_set_into(
             }
         }
     }
-    out.sort_unstable();
 }
 
 /// The ball `N^r[v]` with distances: `(u, d(v, u))` pairs sorted by
@@ -355,6 +367,15 @@ mod tests {
         let g = path(7);
         assert_eq!(ball_of_set(&g, &[0, 6], 1), vec![0, 1, 5, 6]);
         assert_eq!(ball_of_set(&g, &[3], 2), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn unsorted_ball_is_breadth_first() {
+        let g = path(7);
+        let mut s = Scratch::new();
+        let mut out = Vec::new();
+        ball_of_set_unsorted_into(&g, &mut s, &[3, 6], 2, &mut out);
+        assert_eq!(out, vec![3, 6, 2, 4, 5, 1]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! of each inserted or removed edge, and every freshly added vertex.
 //! Downstream artifacts are invalidated by scope:
 //!
-//! * **r-balls** (CutEngine index entries, local views): an artifact
+//! * **r-balls** (CutEngine candidate sets, local views): an artifact
 //!   scoped to `N^r[c]` is dirty iff `c` lies within distance `r` of a
 //!   touched vertex — [`DynamicGraph::dirty_ball`] returns exactly that
 //!   vertex set. Evaluating the ball in the *post-update* graph is

@@ -11,7 +11,7 @@
 //! non-finite numbers.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,11 +97,13 @@ impl Value {
             Value::Num(x) => {
                 // Integers print without the trailing ".0" so clients
                 // (and the golden tests) see canonical "7", not "7.0".
-                if x.fract() == 0.0 && x.abs() < 9e15 {
-                    out.push_str(&format!("{}", *x as i64));
+                // Written in place: a response can carry tens of
+                // thousands of numbers, so no `String` per number.
+                let _ = if x.fract() == 0.0 && x.abs() < 9e15 {
+                    write!(out, "{}", *x as i64)
                 } else {
-                    out.push_str(&format!("{x}"));
-                }
+                    write!(out, "{x}")
+                };
             }
             Value::Str(s) => write_escaped(s, out),
             Value::Arr(items) => {

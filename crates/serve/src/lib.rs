@@ -16,7 +16,7 @@
 //!    from a server-wide [`lmds_core::DynamicSolver`] cache (the
 //!    `components_reused` metric counts the wins).
 //! 2. **A bounded job queue** ([`queue`]): a fixed pool of worker
-//!    threads (warm per-thread `Scratch`/`CutEngine`/`ExactEngine`
+//!    threads (warm per-thread `Scratch`/cut-sweep/`ExactEngine`
 //!    pools) drains a bounded FIFO. Full queue ⟹ HTTP 429; per-job
 //!    timeouts; typed failure states pollable via `GET /jobs/{id}`. A
 //!    background reaper sweeps terminal jobs after a retention window

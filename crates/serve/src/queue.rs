@@ -135,7 +135,13 @@ pub enum JobLookup {
 }
 
 struct Job {
-    spec: JobSpec,
+    /// Graph name and solver key, for snapshots and the busy-graph check.
+    graph: String,
+    solver: String,
+    /// The spec while queued; the worker takes it on pickup, so a
+    /// finished job no longer pins its graph revision for the retention
+    /// window.
+    spec: Option<JobSpec>,
     state: JobState,
     /// Set on the terminal transition: the instant after which the
     /// reaper may drop this job from the table.
@@ -229,7 +235,14 @@ impl JobQueue {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.jobs.insert(id, Job { spec, state: JobState::Queued, expire_at: None });
+        let job = Job {
+            graph: spec.entry.name().to_string(),
+            solver: spec.solver.clone(),
+            spec: Some(spec),
+            state: JobState::Queued,
+            expire_at: None,
+        };
+        inner.jobs.insert(id, job);
         inner.queue.push_back(id);
         drop(inner);
         self.work_ready.notify_one();
@@ -246,7 +259,8 @@ impl JobQueue {
             while let Some(id) = inner.queue.pop_front() {
                 let now = Instant::now();
                 let job = inner.jobs.get_mut(&id).expect("queued job is in the table");
-                if job.spec.deadline.is_some_and(|d| d < now) {
+                let spec = job.spec.take().expect("a queued job holds its spec");
+                if spec.deadline.is_some_and(|d| d < now) {
                     job.state = JobState::Failed {
                         code: "timeout",
                         message: "job expired in the queue before a worker picked it up".into(),
@@ -256,7 +270,6 @@ impl JobQueue {
                     continue;
                 }
                 job.state = JobState::Running;
-                let spec = job.spec.clone();
                 return Some((id, spec));
             }
             if inner.shutting_down {
@@ -287,7 +300,7 @@ impl JobQueue {
     /// with 409 keeps the update/solve interleaving explicit.
     pub fn has_active_jobs_for(&self, name: &str) -> bool {
         let inner = self.inner.lock().expect("queue lock");
-        inner.jobs.values().any(|job| !job.state.is_terminal() && job.spec.entry.name() == name)
+        inner.jobs.values().any(|job| !job.state.is_terminal() && job.graph == name)
     }
 
     /// A snapshot of job `id`, if it is still tracked. Prefer
@@ -297,8 +310,8 @@ impl JobQueue {
         let inner = self.inner.lock().expect("queue lock");
         inner.jobs.get(&id).map(|job| JobSnapshot {
             id,
-            graph: job.spec.entry.name().to_string(),
-            solver: job.spec.solver.clone(),
+            graph: job.graph.clone(),
+            solver: job.solver.clone(),
             state: job.state.clone(),
         })
     }
@@ -316,8 +329,8 @@ impl JobQueue {
         match inner.jobs.get(&id) {
             Some(job) => JobLookup::Found(Box::new(JobSnapshot {
                 id,
-                graph: job.spec.entry.name().to_string(),
-                solver: job.spec.solver.clone(),
+                graph: job.graph.clone(),
+                solver: job.solver.clone(),
                 state: job.state.clone(),
             })),
             None => JobLookup::Expired,
@@ -413,6 +426,26 @@ mod tests {
         let snap = waiter.join().unwrap().unwrap();
         assert_eq!(snap.state.name(), "failed");
         assert_eq!(snap.solver, "mds/exact");
+    }
+
+    #[test]
+    fn tracked_jobs_release_their_graph_once_picked_up() {
+        // A terminal job stays pollable for the retention window; it must
+        // not pin its graph revision that long (a PATCH replaces the
+        // corpus entry, and the old revision should be freed).
+        let q = queue(4);
+        let job = spec(None);
+        let entry = Arc::clone(&job.entry);
+        let id = q.submit(job).unwrap();
+        assert_eq!(Arc::strong_count(&entry), 2, "the queued job holds the entry");
+        let (_, running) = q.next_job().unwrap();
+        assert!(q.has_active_jobs_for("g"), "the running job still counts as busy");
+        drop(running);
+        q.complete(id, JobState::Failed { code: "solve-error", message: "nope".into() });
+        assert_eq!(Arc::strong_count(&entry), 1, "the finished job released the entry");
+        let snap = q.status(id).unwrap();
+        assert_eq!((snap.graph.as_str(), snap.solver.as_str()), ("g", "mds/exact"));
+        assert!(!q.has_active_jobs_for("g"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! hosts a [`std::thread::scope`] containing
 //!
 //! - `workers` long-lived solver threads popping the shared
-//!   [`JobQueue`]. Because the engine pools (`Scratch`, `CutEngine`,
+//!   [`JobQueue`]. Because the engine pools (`Scratch`, cut-sweep,
 //!   `ExactEngine`) are thread-locals, a worker's pools stay warm across
 //!   jobs — the serving analogue of `BatchRunner`'s per-thread reuse.
 //!   Workers consult the [`ResultCache`] before solving, so a repeated

@@ -40,7 +40,9 @@ fn corpus() -> Vec<(String, Graph)> {
         ("clique_pendants5".into(), lmds_gen::adversarial::clique_with_pendants(5)),
         ("clique_pendants8".into(), lmds_gen::adversarial::clique_with_pendants(8)),
         ("strip6".into(), lmds_gen::ding::strip(6)),
+        ("strip8".into(), lmds_gen::ding::strip(8)),
         ("fan5".into(), lmds_gen::ding::fan(5)),
+        ("fan6".into(), lmds_gen::ding::fan(6)),
         (
             "disconnected".into(),
             Graph::from_edges(9, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)]),
@@ -55,6 +57,8 @@ fn corpus() -> Vec<(String, Graph)> {
             format!("outerplanar_s{seed}"),
             lmds_gen::outerplanar::random_maximal_outerplanar(18, seed),
         ));
+        // The fan/strip chain family the central-scale benchmark runs.
+        out.push((format!("scale300_s{seed}"), lmds_gen::ding::scale_instance(300, seed)));
     }
     out
 }
