@@ -29,6 +29,7 @@ use crate::radii::Radii;
 use lmds_graph::bfs;
 use lmds_localsim::{Decider, LocalAlgorithm, LocalView, NodeCtx};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Table 1 `K_{1,t}` row: everyone joins at round 0.
 pub struct TakeAllDecider;
@@ -164,7 +165,7 @@ impl LocalAlgorithm for TakeAllLocal {
 
     fn init(&self, _ctx: &NodeCtx) {}
     fn send(&self, _state: &(), _round: u32) {}
-    fn receive(&self, _state: &mut (), _round: u32, _incoming: &[()]) {}
+    fn receive(&self, _state: &mut (), _round: u32, _incoming: &[&()]) {}
     fn decide(&self, _state: &(), _round: u32) -> Option<bool> {
         Some(true)
     }
@@ -204,7 +205,7 @@ impl LocalAlgorithm for RegularMvcLocal {
     fn send(&self, state: &RegularMvcState, _round: u32) -> u64 {
         state.me
     }
-    fn receive(&self, state: &mut RegularMvcState, round: u32, incoming: &[u64]) {
+    fn receive(&self, state: &mut RegularMvcState, round: u32, incoming: &[&u64]) {
         if round == 1 {
             state.heard = incoming.len();
         }
@@ -318,7 +319,7 @@ fn past_grace(grace: Option<u32>, base: u32, round: u32) -> bool {
 /// however stale) they arrive. On a healthy network this reproduces
 /// the strict round-1-ids / round-2-degrees schedule bit-for-bit;
 /// under faults it lets retransmissions repair earlier losses.
-fn degree_receive(state: &mut DegreeState, _round: u32, incoming: &[DegreeMsg]) {
+fn degree_receive(state: &mut DegreeState, _round: u32, incoming: &[&DegreeMsg]) {
     for m in incoming {
         let id = match m {
             DegreeMsg::Id(id) | DegreeMsg::Degree(id, _) => *id,
@@ -364,7 +365,7 @@ impl LocalAlgorithm for TreesFolkloreLocal {
     fn send(&self, state: &DegreeState, round: u32) -> DegreeMsg {
         degree_send(state, round)
     }
-    fn receive(&self, state: &mut DegreeState, round: u32, incoming: &[DegreeMsg]) {
+    fn receive(&self, state: &mut DegreeState, round: u32, incoming: &[&DegreeMsg]) {
         degree_receive(state, round, incoming);
     }
     fn decide(&self, state: &DegreeState, round: u32) -> Option<bool> {
@@ -419,7 +420,7 @@ impl LocalAlgorithm for Theorem44MvcLocal {
     fn send(&self, state: &DegreeState, round: u32) -> DegreeMsg {
         degree_send(state, round)
     }
-    fn receive(&self, state: &mut DegreeState, round: u32, incoming: &[DegreeMsg]) {
+    fn receive(&self, state: &mut DegreeState, round: u32, incoming: &[&DegreeMsg]) {
         degree_receive(state, round, incoming);
     }
     fn decide(&self, state: &DegreeState, round: u32) -> Option<bool> {
@@ -451,16 +452,20 @@ impl LocalAlgorithm for Theorem44MvcLocal {
 }
 
 /// Typed messages of the native 3-round Theorem 4.4 algorithm.
+///
+/// A closed neighborhood is built once, by its owner, as a shared
+/// `Arc<[u64]>`: forwarding it and storing it as evidence bump a
+/// reference count instead of copying the ids.
 #[derive(Debug, Clone)]
 pub enum Thm44Msg {
     /// Round 1: the sender's identifier.
     Id(u64),
-    /// Round 2: sender identifier and its sorted open neighborhood.
-    Nbhd(u64, Vec<u64>),
+    /// Round 2: sender identifier and its sorted closed neighborhood.
+    Nbhd(u64, Arc<[u64]>),
     /// Round 3: sender identifier and the closed neighborhood of each of
     /// its neighbors (learned in round 2) — exactly the 2-hop knowledge
     /// the twin test needs.
-    TwoHop(u64, Vec<(u64, Vec<u64>)>),
+    TwoHop(u64, Arc<[(u64, Arc<[u64]>)]>),
 }
 
 /// State of [`Theorem44Local`]: own id, sorted neighbor ids, and the
@@ -469,12 +474,14 @@ pub enum Thm44Msg {
 pub struct Thm44State {
     me: u64,
     nbrs: Vec<u64>,
-    closed: BTreeMap<u64, Vec<u64>>,
+    /// Sorted closed neighborhoods by vertex id; the own entry always
+    /// equals `nbrs ∪ {me}`.
+    closed: BTreeMap<u64, Arc<[u64]>>,
 }
 
 impl Thm44State {
     fn try_closed_of(&self, w: u64) -> Option<&[u64]> {
-        self.closed.get(&w).map(Vec::as_slice)
+        self.closed.get(&w).map(|cn| &cn[..])
     }
 
     /// Whether `w` survives the minimum-identifier twin reduction,
@@ -491,16 +498,19 @@ impl Thm44State {
     }
 
     /// Records `u` as a physical neighbor (every received message
-    /// proves its sender is adjacent) and keeps the own closed set in
-    /// sync — under faults, neighbors can surface after round 1.
-    fn note_neighbor(&mut self, u: u64) {
-        if let Err(pos) = self.nbrs.binary_search(&u) {
-            self.nbrs.insert(pos, u);
-            let mut own = self.nbrs.clone();
-            own.push(self.me);
-            own.sort_unstable();
-            self.closed.insert(self.me, own);
-        }
+    /// proves its sender is adjacent); returns whether it is new.
+    fn note_neighbor(&mut self, u: u64) -> bool {
+        let Err(pos) = self.nbrs.binary_search(&u) else { return false };
+        self.nbrs.insert(pos, u);
+        true
+    }
+
+    /// Rebuilds the own closed set from `nbrs`, once per `receive` that
+    /// noted a new neighbor — under faults, neighbors can surface after
+    /// round 1.
+    fn rebuild_own_closed(&mut self) {
+        let own = sorted_closed(self.nbrs.iter().copied(), self.me);
+        self.closed.insert(self.me, own);
     }
 
     /// Whether every closed set the decision rule touches is present:
@@ -546,6 +556,14 @@ impl Thm44State {
     }
 }
 
+/// The sorted closed neighborhood `nbrs ∪ {me}`, built in one
+/// allocation (the exact-size iterator sizes the `Arc` up front).
+fn sorted_closed(nbrs: impl ExactSizeIterator<Item = u64>, me: u64) -> Arc<[u64]> {
+    let mut cn: Arc<[u64]> = nbrs.chain([me]).collect();
+    Arc::get_mut(&mut cn).expect("a fresh Arc is unshared").sort_unstable();
+    cn
+}
+
 /// Theorem 4.4 MDS as a native state machine — the paper's headline
 /// 3-round structure made explicit: round 1 learns `N(v)`, round 2 the
 /// closed neighborhoods of `N(v)` (twin status of `v`), round 3 the
@@ -579,14 +597,14 @@ impl LocalAlgorithm for Theorem44Local {
         // Seed the own closed set immediately (degree-0 vertices never
         // receive anything, yet must still reach a complete state).
         let mut closed = BTreeMap::new();
-        closed.insert(ctx.id, vec![ctx.id]);
+        closed.insert(ctx.id, Arc::from([ctx.id]));
         Thm44State { me: ctx.id, nbrs: Vec::new(), closed }
     }
 
     fn send(&self, state: &Thm44State, round: u32) -> Thm44Msg {
         match round {
             0 | 1 => Thm44Msg::Id(state.me),
-            2 => Thm44Msg::Nbhd(state.me, state.nbrs.clone()),
+            2 => Thm44Msg::Nbhd(state.me, Arc::clone(&state.closed[&state.me])),
             3 => Thm44Msg::TwoHop(
                 state.me,
                 // Healthy networks have every neighbor's set by now;
@@ -594,7 +612,7 @@ impl LocalAlgorithm for Theorem44Local {
                 state
                     .nbrs
                     .iter()
-                    .filter_map(|&u| state.try_closed_of(u).map(|cn| (u, cn.to_vec())))
+                    .filter_map(|&u| state.closed.get(&u).map(|cn| (u, Arc::clone(cn))))
                     .collect(),
             ),
             // Rounds ≥ 4 only happen when someone is still undecided
@@ -603,34 +621,37 @@ impl LocalAlgorithm for Theorem44Local {
             // repairs any number of earlier losses.
             _ => Thm44Msg::TwoHop(
                 state.me,
-                state.closed.iter().map(|(&w, cn)| (w, cn.clone())).collect(),
+                state.closed.iter().map(|(&w, cn)| (w, Arc::clone(cn))).collect(),
             ),
         }
     }
 
-    fn receive(&self, state: &mut Thm44State, _round: u32, incoming: &[Thm44Msg]) {
+    fn receive(&self, state: &mut Thm44State, _round: u32, incoming: &[&Thm44Msg]) {
         // Folding is variant-driven, not round-driven: under skew a
         // round-2 slot may carry a round-1 identifier, and evidence
         // arriving late is still evidence. On a healthy network the
         // rounds and variants coincide, reproducing the strict
         // schedule bit-for-bit.
+        let mut new_neighbor = false;
         for m in incoming {
             match m {
-                Thm44Msg::Id(u) => state.note_neighbor(*u),
-                Thm44Msg::Nbhd(u, nb) => {
-                    state.note_neighbor(*u);
-                    let mut cn = nb.clone();
-                    cn.push(*u);
-                    cn.sort_unstable();
-                    state.closed.insert(*u, cn);
+                Thm44Msg::Id(u) => new_neighbor |= state.note_neighbor(*u),
+                Thm44Msg::Nbhd(u, cn) => {
+                    new_neighbor |= state.note_neighbor(*u);
+                    state.closed.insert(*u, Arc::clone(cn));
                 }
                 Thm44Msg::TwoHop(u, entries) => {
-                    state.note_neighbor(*u);
-                    for (w, cn) in entries {
-                        state.closed.entry(*w).or_insert_with(|| cn.clone());
+                    new_neighbor |= state.note_neighbor(*u);
+                    for (w, cn) in entries.iter() {
+                        state.closed.entry(*w).or_insert_with(|| Arc::clone(cn));
                     }
                 }
             }
+        }
+        // No message can carry the own entry over it: `Nbhd` keys are
+        // neighbors, and `TwoHop` only fills absent keys.
+        if new_neighbor {
+            state.rebuild_own_closed();
         }
     }
 
@@ -649,7 +670,8 @@ impl LocalAlgorithm for Theorem44Local {
     fn message_bits(&self, msg: &Thm44Msg, id_bits: u32) -> u64 {
         let ids = match msg {
             Thm44Msg::Id(_) => 1,
-            Thm44Msg::Nbhd(_, nb) => 1 + nb.len() as u64,
+            // The sender's id plus its open neighborhood: `|N[u]|` ids.
+            Thm44Msg::Nbhd(_, cn) => cn.len() as u64,
             Thm44Msg::TwoHop(_, entries) => {
                 1 + entries.iter().map(|(_, cn)| 1 + cn.len() as u64).sum::<u64>()
             }
@@ -665,10 +687,7 @@ impl LocalAlgorithm for Theorem44Local {
         round: u32,
     ) -> Option<Thm44State> {
         let closed_of = |w: usize| {
-            let mut cn: Vec<u64> = g.neighbors(w).iter().map(|&x| ids.id_of(x as usize)).collect();
-            cn.push(ids.id_of(w));
-            cn.sort_unstable();
-            cn
+            sorted_closed(g.neighbors(w).iter().map(|&x| ids.id_of(x as usize)), ids.id_of(w))
         };
         let mut state = Thm44State { me: ids.id_of(v), nbrs: Vec::new(), closed: BTreeMap::new() };
         if round >= 1 {

@@ -1,24 +1,28 @@
 //! The one data-parallel primitive of the workspace.
 //!
 //! Every phase of Algorithm 1 (twin keys, the 1-cut and 2-cut sweeps,
-//! the domination masks, the residual solves) and the oracle runtimes
-//! are per-item computations over an index range `0..items`. This
-//! module decides, in one place, how such a range is split across
-//! scoped worker threads:
+//! the domination masks, the residual solves) and both LOCAL engines
+//! (the oracle's views, the message-passing rounds) are per-item
+//! computations over an index range `0..items`. This module decides, in
+//! one place, how such a range is split across scoped worker threads:
 //!
 //! * [`fill`] — write `out[i] = f(i)` over contiguous, equal ranges;
 //! * [`fold`] — fold contiguous, equal ranges into one accumulator per
 //!   worker, combined by the caller's merge;
+//! * [`fold_mut`] — the same fold, with each worker also updating its
+//!   range of a slice in place (the other two are built on it);
 //! * [`drain`] — workers claim items off a shared counter (for items of
 //!   uneven cost); the results come back in item order.
 //!
 //! Each primitive builds one state per worker with its `init` closure,
 //! on that worker's thread (so thread-local pools warmed there are the
-//! worker's own). With one worker nothing is spawned: `init` and the
-//! loop run inline on the caller's thread, whose thread-local scratch,
-//! cut-engine and exact-engine pools therefore stay warm across the many
-//! small calls of the LOCAL deciders. A worker panic is re-raised on the
-//! caller with its original payload.
+//! worker's own). The caller's thread is always the first worker, so
+//! `k` workers spawn `k − 1` threads and one worker spawns nothing:
+//! `init` and the loop run inline on the caller's thread, whose
+//! thread-local scratch, cut-engine and exact-engine pools therefore
+//! stay warm across the many small calls of the LOCAL deciders (and the
+//! per-round phases of message passing pay one spawn fewer). A worker
+//! panic is re-raised on the caller with its original payload.
 //!
 //! [`workers`] is the automatic policy: the machine's parallelism capped
 //! at 8, and a single worker below the caller's grain
@@ -27,7 +31,6 @@
 //! the count with [`with_workers`].
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Grain for items that each cost a ball traversal or an exact solve.
@@ -64,13 +67,19 @@ pub fn workers(items: usize, grain: usize) -> usize {
 /// drives the multi-worker paths on inputs and machines where the
 /// automatic policy would pick one worker.
 pub fn with_workers<R>(count: usize, f: impl FnOnce() -> R) -> R {
+    with_forced(Some(count.max(1)), f)
+}
+
+/// Runs `f` with the override set to `forced`, restoring the previous
+/// setting afterwards (also on panic).
+fn with_forced<R>(forced: Option<usize>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
         fn drop(&mut self) {
             FORCED.with(|c| c.set(self.0));
         }
     }
-    let _restore = Restore(FORCED.with(|c| c.replace(Some(count.max(1)))));
+    let _restore = Restore(FORCED.with(|c| c.replace(forced)));
     f()
 }
 
@@ -83,24 +92,9 @@ pub fn fill<T, S>(
     f: impl Fn(&mut S, usize) -> T + Sync,
 ) where
     T: Send,
+    S: Send,
 {
-    let chunk = chunk_len(out.len(), workers);
-    if chunk >= out.len() {
-        let mut state = init();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(&mut state, i);
-        }
-        return;
-    }
-    let (init, f) = (&init, &f);
-    run_all(out.chunks_mut(chunk).enumerate().map(|(ci, part)| {
-        move || {
-            let mut state = init();
-            for (j, slot) in part.iter_mut().enumerate() {
-                *slot = f(&mut state, ci * chunk + j);
-            }
-        }
-    }));
+    fold_mut(out, workers, init, |state, i, slot| *slot = f(state, i), |a, _| a);
 }
 
 /// Folds every index of `0..items` into a per-worker accumulator built
@@ -117,19 +111,41 @@ pub fn fold<A>(
 where
     A: Send,
 {
-    let chunk = chunk_len(items, workers);
-    let run = |range: Range<usize>| {
+    // A slice of unit values allocates nothing: the ranges are all it
+    // carries.
+    fold_mut(&mut vec![(); items], workers, init, |acc, i, _| f(acc, i), merge)
+}
+
+/// The in-place form of [`fill`] and [`fold`]: calls
+/// `f(&mut acc, i, &mut items[i])` for every index, over at most
+/// `workers` contiguous, equal ranges of `items`, each with its own
+/// accumulator built by `init`, then combines the accumulators left to
+/// right with `merge` (never called with one worker). Each item is
+/// updated by exactly one worker, so `f` may read and rewrite it freely.
+pub fn fold_mut<T, A>(
+    items: &mut [T],
+    workers: usize,
+    init: impl Fn() -> A + Sync,
+    f: impl Fn(&mut A, usize, &mut T) + Sync,
+    merge: impl FnMut(A, A) -> A,
+) -> A
+where
+    T: Send,
+    A: Send,
+{
+    let chunk = chunk_len(items.len(), workers);
+    let run = |lo: usize, part: &mut [T]| {
         let mut acc = init();
-        for i in range {
-            f(&mut acc, i);
+        for (j, item) in part.iter_mut().enumerate() {
+            f(&mut acc, lo + j, item);
         }
         acc
     };
-    if chunk >= items {
-        return run(0..items);
+    if chunk >= items.len() {
+        return run(0, items);
     }
     let run = &run;
-    run_all((0..items).step_by(chunk).map(|lo| move || run(lo..(lo + chunk).min(items))))
+    run_all(items.chunks_mut(chunk).enumerate().map(|(ci, part)| move || run(ci * chunk, part)))
         .into_iter()
         .reduce(merge)
         .expect("at least two ranges")
@@ -180,15 +196,22 @@ fn chunk_len(items: usize, workers: usize) -> usize {
     items.div_ceil(workers.max(1)).max(1)
 }
 
-/// Runs every job on its own scoped thread and returns their results in
-/// job order, re-raising the first worker panic with its payload.
-fn run_all<R: Send>(jobs: impl Iterator<Item = impl FnOnce() -> R + Send>) -> Vec<R> {
+/// Runs the first job on the caller's thread and every other job on its
+/// own scoped thread, and returns their results in job order, re-raising
+/// the first panic in job order with its payload. The first job runs
+/// without the caller's [`with_workers`] override, as if spawned, so
+/// nested phases keep the automatic policy on every worker.
+fn run_all<R: Send>(mut jobs: impl Iterator<Item = impl FnOnce() -> R + Send>) -> Vec<R> {
+    let Some(first) = jobs.next() else { return Vec::new() };
     std::thread::scope(|scope| {
         let handles: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-            .collect()
+        let mut out = vec![with_forced(None, first)];
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload))),
+        );
+        out
     })
 }
 
@@ -236,8 +259,40 @@ mod tests {
     }
 
     #[test]
+    fn fold_mut_updates_in_place_and_merges_in_order() {
+        for w in [1, 2, 3, 8] {
+            let mut items: Vec<usize> = (0..10).collect();
+            let seen = fold_mut(
+                &mut items,
+                w,
+                Vec::new,
+                |acc: &mut Vec<usize>, i, item| {
+                    assert_eq!(*item, i);
+                    *item *= 3;
+                    acc.push(i);
+                },
+                |mut a, b| {
+                    a.extend(b);
+                    a
+                },
+            );
+            assert_eq!(items, (0..10).map(|i| i * 3).collect::<Vec<_>>(), "workers={w}");
+            assert_eq!(seen, (0..10).collect::<Vec<_>>(), "workers={w}");
+        }
+    }
+
+    #[test]
     fn ranges_are_contiguous_and_equal() {
         assert_eq!(fold_ranges(10, 3), [vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]);
+    }
+
+    #[test]
+    fn the_caller_runs_the_first_range() {
+        let caller = here();
+        let mut out = vec![None; 4];
+        fill(&mut out, 2, || (), |_, _| Some(here()));
+        assert_eq!(out[0], Some(caller));
+        assert_ne!(out[3], Some(caller));
     }
 
     #[test]
@@ -306,5 +361,13 @@ mod tests {
         assert_eq!(workers(10, SWEEP_GRAIN), 1, "override restored after a panic");
         let auto = workers(BALL_GRAIN, BALL_GRAIN);
         assert!((1..=MAX_WORKERS).contains(&auto));
+        // Every range, the one the caller runs itself included, sees the
+        // automatic policy; the caller's override survives the call.
+        let mut nested = vec![0usize; 6];
+        with_workers(3, || {
+            fill(&mut nested, workers(6, usize::MAX), || (), |_, _| workers(0, usize::MAX));
+            assert_eq!(workers(0, usize::MAX), 3);
+        });
+        assert_eq!(nested, [1; 6]);
     }
 }

@@ -16,7 +16,9 @@
 //! [`OracleRuntime`](crate::OracleRuntime)) execute the same state
 //! machine and are bit-identical because implementations are
 //! deterministic and treat the incoming slice as arriving in a fixed
-//! (host neighbor) order.
+//! (host neighbor) order. Each message is built once per sender and
+//! round; the engines lend it to every recipient by reference, so a
+//! message is never copied per edge.
 //!
 //! # View algorithms are a special case
 //!
@@ -54,8 +56,8 @@
 //!     fn send(&self, state: &MinSeen, _round: u32) -> u64 {
 //!         state.me
 //!     }
-//!     fn receive(&self, state: &mut MinSeen, _round: u32, incoming: &[u64]) {
-//!         for &id in incoming {
+//!     fn receive(&self, state: &mut MinSeen, _round: u32, incoming: &[&u64]) {
+//!         for &&id in incoming {
 //!             state.min = state.min.min(id);
 //!         }
 //!     }
@@ -104,8 +106,10 @@ pub struct NodeCtx {
 pub trait LocalAlgorithm: Sync {
     /// Per-vertex state.
     type State: Clone + Send;
-    /// The message broadcast to every neighbor each round.
-    type Message: Clone + Send;
+    /// The message broadcast to every neighbor each round. The engines
+    /// lend one message to all recipients, possibly on several threads
+    /// at once, hence `Sync`.
+    type Message: Send + Sync;
     /// Per-vertex output type.
     type Output: Clone + Send;
 
@@ -117,8 +121,12 @@ pub trait LocalAlgorithm: Sync {
     fn send(&self, state: &Self::State, round: u32) -> Self::Message;
 
     /// Folds the messages received in `round` into the state. `incoming`
-    /// holds one message per neighbor, in host neighbor order.
-    fn receive(&self, state: &mut Self::State, round: u32, incoming: &[Self::Message]);
+    /// holds at most one message per neighbor (one per neighbor on a
+    /// fault-free network), in host neighbor order. The messages are
+    /// lent: the sender's copy is shared by all its recipients, so
+    /// keeping part of one means cloning that part (cheap when the
+    /// message holds `Arc`s).
+    fn receive(&self, state: &mut Self::State, round: u32, incoming: &[&Self::Message]);
 
     /// Decides from the state after `round` rounds, or returns `None` to
     /// communicate for another round.
@@ -159,7 +167,7 @@ impl<D: Decider> LocalAlgorithm for D {
         state.clone()
     }
 
-    fn receive(&self, state: &mut LocalView, _round: u32, incoming: &[LocalView]) {
+    fn receive(&self, state: &mut LocalView, _round: u32, incoming: &[&LocalView]) {
         for msg in incoming {
             state.learn_edge(state.center_id(), msg.center_id());
             state.merge(msg);
@@ -198,8 +206,8 @@ mod tests {
         let ids = IdAssignment::sequential(3);
         let algo = DegreeAlgo;
         let mut state = LocalAlgorithm::init(&algo, &NodeCtx { id: ids.id_of(1) });
-        let incoming = vec![LocalView::initial(ids.id_of(0)), LocalView::initial(ids.id_of(2))];
-        algo.receive(&mut state, 1, &incoming);
+        let (left, right) = (LocalView::initial(ids.id_of(0)), LocalView::initial(ids.id_of(2)));
+        algo.receive(&mut state, 1, &[&left, &right]);
         assert_eq!(state.rounds(), 1);
         assert_eq!(state.vertex_ids(), &[0, 1, 2]);
         assert!(state.contains_edge(0, 1) && state.contains_edge(1, 2));

@@ -33,7 +33,7 @@
 use crate::algorithm::{LocalAlgorithm, NodeCtx};
 use crate::ids::IdAssignment;
 use crate::runtime::{MessageAccounting, MessagePassingRuntime, RunResult, RuntimeError};
-use lmds_graph::Graph;
+use lmds_graph::{par, Graph};
 use std::fmt;
 use std::str::FromStr;
 
@@ -445,22 +445,21 @@ impl MessagePassingRuntime {
         let plan = FaultPlan::materialize(g, &self.fault);
         let n = g.n();
         let id_bits = ids.bits();
-        let mut states: Vec<A::State> =
-            (0..n).map(|v| algo.init(&NodeCtx { id: ids.id_of(v) })).collect();
-        let mut outputs: Vec<Option<A::Output>> = vec![None; n];
-        let mut decided_at = vec![0u32; n];
-        let mut max_msg = 0u64;
-        let mut total_msg = 0u64;
+        // Each phase is sized by the identifiers on the wire, the work
+        // its items carry: the send phase by the previous round's (its
+        // own are unknown until sent), the receive phase by its round's.
+        let wire_ids = |bits: u64| (bits / u64::from(id_bits.max(1))) as usize;
+        let mut last_round_bits = 0u64;
         let mut report = FaultReport { crashed: plan.crashed_vertices(), ..Default::default() };
-
-        // Round 0 decisions (a vertex crashing at round 0 never decides).
-        for (v, out) in outputs.iter_mut().enumerate() {
-            if plan.alive_at(v, 0) {
-                if let Some(o) = algo.decide(&states[v], 0) {
-                    *out = Some(o);
-                }
-            }
-        }
+        let (mut max_msg, mut total_msg) = (0u64, 0u64);
+        // Round-0 decisions (a vertex crashing at round 0 never decides).
+        let mut nodes: Vec<Node<A::State, A::Output>> = (0..n)
+            .map(|v| {
+                let state = algo.init(&NodeCtx { id: ids.id_of(v) });
+                let output = if plan.alive_at(v, 0) { algo.decide(&state, 0) } else { None };
+                Node { state, output, decided_at: 0 }
+            })
+            .collect();
         let mut round = 0u32;
         // Message history ring: round `r`'s messages live at slot
         // `(r − 1) % depth`; staleness is at most `min(skew, round − 1)`
@@ -468,15 +467,17 @@ impl MessagePassingRuntime {
         // rounds (and a huge hand-built skew allocates nothing extra).
         let depth = self.fault.skew.min(max_rounds) as usize + 1;
         let mut history: Vec<Vec<Option<A::Message>>> = Vec::with_capacity(depth);
-        let mut inbox: Vec<A::Message> = Vec::new();
         loop {
-            let undecided =
-                (0..n).filter(|&v| outputs[v].is_none() && plan.decides_after(v, round)).count();
+            let undecided = nodes
+                .iter()
+                .enumerate()
+                .filter(|&(v, node)| node.output.is_none() && plan.decides_after(v, round))
+                .count();
             if undecided == 0 {
                 break;
             }
             if round >= max_rounds {
-                report.silent = silent_vertices(&plan, &outputs);
+                report.silent = silent_vertices(&plan, &nodes);
                 return Err((
                     RuntimeError::RoundLimitExceeded { limit: max_rounds, undecided },
                     report,
@@ -485,66 +486,81 @@ impl MessagePassingRuntime {
             round += 1;
             // Send phase: live vertices broadcast (decided ones keep
             // relaying, crashed ones are silent); bits are accounted
-            // for everything put on the wire — dropped or not.
-            let msgs: Vec<Option<A::Message>> = states
-                .iter()
-                .enumerate()
-                .map(|(v, s)| plan.alive_at(v, round).then(|| algo.send(s, round)))
-                .collect();
-            for (v, m) in msgs.iter().enumerate() {
-                if let Some(m) = m {
-                    let deg = g.degree(v) as u64;
-                    if deg > 0 {
-                        let bits = algo.message_bits(m, id_bits);
-                        total_msg += bits * deg;
-                        max_msg = max_msg.max(bits);
+            // for everything put on the wire — dropped or not. Each
+            // worker collects its range's messages in vertex order.
+            let sent = par::fold_mut(
+                &mut nodes,
+                par::workers(wire_ids(last_round_bits), par::SWEEP_GRAIN),
+                || Sent { msgs: Vec::new(), max_bits: 0, total_bits: 0 },
+                |sent, v, node| {
+                    let msg = plan.alive_at(v, round).then(|| algo.send(&node.state, round));
+                    if let Some(m) = &msg {
+                        let deg = g.degree(v) as u64;
+                        if deg > 0 {
+                            let bits = algo.message_bits(m, id_bits);
+                            sent.total_bits += bits * deg;
+                            sent.max_bits = sent.max_bits.max(bits);
+                        }
                     }
-                }
-            }
+                    sent.msgs.push(msg);
+                },
+                Sent::merge,
+            );
+            max_msg = max_msg.max(sent.max_bits);
+            total_msg += sent.total_bits;
+            last_round_bits = sent.total_bits;
             if history.len() < depth {
-                history.push(msgs);
+                history.push(sent.msgs);
             } else {
-                history[(round as usize - 1) % depth] = msgs;
+                history[(round as usize - 1) % depth] = sent.msgs;
             }
-            // Receive phase: one (possibly stale) message per live
-            // neighbor, in host neighbor order, minus drops.
-            for (v, state) in states.iter_mut().enumerate() {
-                if !plan.alive_at(v, round) {
-                    continue;
-                }
-                inbox.clear();
-                for &u in g.neighbors(v) {
-                    let u = u as usize;
-                    let stale = plan.staleness(u, v, round);
-                    let src = round - stale; // ≥ 1 by the staleness bound
-                    let slot = &history[(src as usize - 1) % depth][u];
-                    let Some(m) = slot else { continue }; // sender crashed at src
-                    if plan.dropped(u, v, round) {
-                        report.messages_dropped += 1;
-                        continue;
+            // Receive and decide, fused per live vertex: one (possibly
+            // stale) message per live neighbor, in host neighbor order,
+            // minus drops. The history is read-only here, so every
+            // inbox borrows straight from it.
+            let delivered = par::fold_mut(
+                &mut nodes,
+                par::workers(wire_ids(last_round_bits), par::SWEEP_GRAIN),
+                || Delivered { inbox: Vec::new(), dropped: 0, max_staleness: 0 },
+                |acc, v, node| {
+                    if !plan.alive_at(v, round) {
+                        return;
                     }
-                    if stale > report.max_staleness {
-                        report.max_staleness = stale;
+                    acc.inbox.clear();
+                    for &u in g.neighbors(v) {
+                        let u = u as usize;
+                        let stale = plan.staleness(u, v, round);
+                        let src = round - stale; // ≥ 1 by the staleness bound
+                        let Some(m) = &history[(src as usize - 1) % depth][u] else {
+                            continue; // sender crashed at src
+                        };
+                        if plan.dropped(u, v, round) {
+                            acc.dropped += 1;
+                            continue;
+                        }
+                        acc.max_staleness = acc.max_staleness.max(stale);
+                        acc.inbox.push(m);
                     }
-                    inbox.push(m.clone());
-                }
-                algo.receive(state, round, &inbox);
-            }
-            // Decide phase, live vertices only.
-            for (v, out) in outputs.iter_mut().enumerate() {
-                if out.is_none() && plan.alive_at(v, round) {
-                    if let Some(o) = algo.decide(&states[v], round) {
-                        *out = Some(o);
-                        decided_at[v] = round;
+                    algo.receive(&mut node.state, round, &acc.inbox);
+                    if node.output.is_none() {
+                        if let Some(o) = algo.decide(&node.state, round) {
+                            node.output = Some(o);
+                            node.decided_at = round;
+                        }
                     }
-                }
-            }
+                },
+                Delivered::merge,
+            );
+            report.messages_dropped += delivered.dropped;
+            report.max_staleness = report.max_staleness.max(delivered.max_staleness);
         }
-        report.silent = silent_vertices(&plan, &outputs);
+        report.silent = silent_vertices(&plan, &nodes);
         let messages = MessageAccounting::Measured {
             max_message_bits: max_msg,
             total_message_bits: total_msg,
         };
+        let (outputs, decided_at): (Vec<_>, Vec<_>) =
+            nodes.into_iter().map(|node| (node.output, node.decided_at)).unzip();
         let rounds = decided_at.iter().copied().max().unwrap_or(0);
         Ok(FaultyRun { outputs, decided_at, rounds, messages, report })
     }
@@ -581,8 +597,54 @@ impl MessagePassingRuntime {
     }
 }
 
-fn silent_vertices<O>(plan: &FaultPlan, outputs: &[Option<O>]) -> Vec<usize> {
-    plan.crashed_vertices().into_iter().filter(|&v| outputs[v].is_none()).collect()
+fn silent_vertices<S, O>(plan: &FaultPlan, nodes: &[Node<S, O>]) -> Vec<usize> {
+    plan.crashed_vertices().into_iter().filter(|&v| nodes[v].output.is_none()).collect()
+}
+
+/// One vertex of a message-passing run: its state and, once it has
+/// decided, its output and decision round. The round loop updates each
+/// in place on whichever worker owns its range.
+struct Node<S, O> {
+    state: S,
+    output: Option<O>,
+    decided_at: u32,
+}
+
+/// What one worker's send phase produced: its range's messages in
+/// vertex order (`None` for crashed senders) and their bit accounting.
+struct Sent<M> {
+    msgs: Vec<Option<M>>,
+    max_bits: u64,
+    total_bits: u64,
+}
+
+impl<M> Sent<M> {
+    /// Appends the next range; ranges merge left to right, so the
+    /// messages stay in vertex order.
+    fn merge(mut self, mut next: Sent<M>) -> Sent<M> {
+        self.msgs.append(&mut next.msgs);
+        self.max_bits = self.max_bits.max(next.max_bits);
+        self.total_bits += next.total_bits;
+        self
+    }
+}
+
+/// One worker's delivery counters, plus the inbox buffer it reuses for
+/// every vertex of its range (lent messages, never copies).
+struct Delivered<'h, M> {
+    inbox: Vec<&'h M>,
+    dropped: u64,
+    max_staleness: u32,
+}
+
+impl<'h, M> Delivered<'h, M> {
+    fn merge(self, next: Delivered<'h, M>) -> Delivered<'h, M> {
+        Delivered {
+            inbox: self.inbox,
+            dropped: self.dropped + next.dropped,
+            max_staleness: self.max_staleness.max(next.max_staleness),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -23,9 +23,11 @@
 //! * Two engines, selected by [`RuntimeKind`]:
 //!   [`MessagePassingRuntime`] (faithful synchronous message passing,
 //!   bits accounted, under an optional seeded [`FaultConfig`]: drops,
-//!   crash-stop vertices, bounded skew) and [`OracleRuntime`] (states
-//!   computed directly via projection or ball replay, on the automatic
-//!   [`lmds_graph::par`] worker count with pooled scratch). The four
+//!   crash-stop vertices, bounded skew; each round's phases sharded,
+//!   messages lent rather than copied) and [`OracleRuntime`] (states
+//!   computed directly via projection or ball replay, with pooled
+//!   scratch). Both take the automatic [`lmds_graph::par`] worker
+//!   count, and their results do not depend on it. The four
 //!   kind names are aliases: `message-passing` and `faulty` select
 //!   message passing, `oracle` and `sharded-oracle` the oracle.
 //! * [`IdPolicy`] / [`IdAssignment`] — the identifier-assignment axis:

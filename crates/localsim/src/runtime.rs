@@ -4,14 +4,15 @@
 //!   every round each live vertex broadcasts one typed message to every
 //!   neighbor; message bits are accounted. Its `fault` field injects a
 //!   seeded fault plan ([`crate::fault`]); the default plan injects
-//!   none. The "ground truth" execution.
+//!   none. The "ground truth" execution. Each round's phases are
+//!   spread over the automatic [`par::workers`] count.
 //! * [`OracleRuntime`] — computes each undecided vertex's round-`k`
 //!   state directly: through the algorithm's
 //!   [`LocalAlgorithm::project`] fast path when it has one (view
 //!   algorithms project via [`oracle_view`]), otherwise by replaying the
 //!   state machine inside the ball `N^k[v]` — provably the same state,
 //!   no global message schedule. Vertices are spread over the automatic
-//!   [`par::workers`] count.
+//!   [`par::workers`] count, sized by the states the run may compute.
 //!
 //! [`RuntimeKind`] names the engines for configuration layers (the
 //! `lmds-api` crate selects them by kind): four names, two engines.
@@ -237,6 +238,19 @@ impl std::str::FromStr for RuntimeKind {
 /// both lives in [`crate::fault`], beside the plan it consults on every
 /// delivery.
 ///
+/// Each round runs two phases, each worker taking a contiguous range of
+/// vertices: every live vertex builds its message once (and its bits
+/// are accounted), then every live vertex receives its neighbors'
+/// messages — lent by reference, never copied — and tries to decide.
+/// A phase is sized by the identifiers on the wire,
+/// [`par::workers`]`(ids, `[`par::SWEEP_GRAIN`]`)`: the receive phase by
+/// its round's traffic, the send phase by the previous round's, so the
+/// first rounds of short protocols and small networks stay on the
+/// caller's thread. Every draw of the fault plan is a pure function
+/// of the delivery, and the counters merge by sum and maximum, so
+/// outputs, bits and the [`FaultReport`](crate::FaultReport) do not
+/// depend on the worker count.
+///
 /// ```
 /// use lmds_graph::Graph;
 /// use lmds_localsim::{Decider, FaultConfig, IdAssignment, LocalView, MessagePassingRuntime};
@@ -310,14 +324,14 @@ fn replay_state<A: LocalAlgorithm>(
     let ball = bfs::ball(g, v, rounds); // sorted ascending
     let mut states: Vec<A::State> =
         ball.iter().map(|&u| algo.init(&NodeCtx { id: ids.id_of(u) })).collect();
-    let mut inbox: Vec<A::Message> = Vec::new();
     for round in 1..=rounds {
         let msgs: Vec<A::Message> = states.iter().map(|s| algo.send(s, round)).collect();
+        let mut inbox: Vec<&A::Message> = Vec::new();
         for (i, &u) in ball.iter().enumerate() {
             inbox.clear();
             for &w in g.neighbors(u) {
                 if let Ok(j) = ball.binary_search(&(w as usize)) {
-                    inbox.push(msgs[j].clone());
+                    inbox.push(&msgs[j]);
                 }
             }
             algo.receive(&mut states[i], round, &inbox);
@@ -354,9 +368,12 @@ impl OracleRuntime {
     ///
     /// Under oracle semantics a vertex's decision round depends only on
     /// the network, never on other vertices' decisions — so no per-round
-    /// barrier is needed: [`par::drain`] hands vertices to
-    /// [`par::workers`]`(n, `[`par::BALL_GRAIN`]`)` workers, and each
-    /// scans its rounds `0..=max_rounds` until it decides. Every worker
+    /// barrier is needed: [`par::drain`] hands vertices to workers, and
+    /// each scans its rounds `0..=max_rounds` until it decides. The
+    /// worker count is sized by the states the run may compute, not by
+    /// the vertices: [`par::workers`]`(n · (max_rounds + 1), `
+    /// [`par::BALL_GRAIN`]`)`, since a small network whose vertices each
+    /// need many rounds is as much work as a large one. Every worker
     /// pre-warms its thread-local [`Scratch`](lmds_graph::Scratch) to
     /// the graph size once per run, so the per-vertex ball queries run
     /// allocation-free. Outputs do not depend on the worker count (all
@@ -378,9 +395,10 @@ impl OracleRuntime {
         if n != ids.n() {
             return Err(RuntimeError::SizeMismatch { graph_n: n, ids_n: ids.n() });
         }
+        let views = n.saturating_mul(max_rounds as usize + 1);
         let decisions = par::drain(
             n,
-            par::workers(n, par::BALL_GRAIN),
+            par::workers(views, par::BALL_GRAIN),
             || lmds_graph::scratch::with_thread_scratch(|s| s.reserve(n)),
             |_, v| {
                 (0..=max_rounds).find_map(|round| {
@@ -458,8 +476,8 @@ mod tests {
         fn send(&self, state: &MinState, _round: u32) -> u64 {
             state.min
         }
-        fn receive(&self, state: &mut MinState, _round: u32, incoming: &[u64]) {
-            for &m in incoming {
+        fn receive(&self, state: &mut MinState, _round: u32, incoming: &[&u64]) {
+            for &&m in incoming {
                 state.min = state.min.min(m);
             }
         }

@@ -75,11 +75,6 @@ impl LocalView {
         &self.edges
     }
 
-    /// Whether `id` is a known vertex.
-    pub fn contains_vertex(&self, id: u64) -> bool {
-        self.verts.binary_search(&id).is_ok()
-    }
-
     /// Whether the edge `{a, b}` is known.
     pub fn contains_edge(&self, a: u64, b: u64) -> bool {
         let e = (a.min(b), a.max(b));
