@@ -10,8 +10,9 @@
 //!   reduction, full registry sweep) tracking the CSR/scratch
 //!   substrate; before/after numbers in `results/kernel_speedup.md`.
 //! * `--local` — the two LOCAL engines under all four runtime names,
-//!   on representative explicit-round and adaptive solvers; committed
-//!   numbers in `results/local_microbench.md`.
+//!   on representative explicit-round and adaptive solvers, plus oracle
+//!   rows for both Algorithm-1 deciders at radii (1,2) and (2,3);
+//!   committed numbers in `results/local_microbench.md`.
 //! * `--cuts` — the `CutEngine` benches: the Definition-2.1 predicate
 //!   sweeps and the full Algorithm 1 pipeline on instances up to two
 //!   orders of magnitude past the pre-engine ceiling, plus naive
@@ -310,6 +311,7 @@ fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
         &[
             "solver",
             "runtime",
+            "radii",
             "instance",
             "n",
             "rounds",
@@ -336,16 +338,28 @@ fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
     // bounded on strip-heavy augmentations, so flooding is affordable
     // here (unlike the n ≥ 1000 tier, covered by `local-sweep-large`).
     let aug_big = lmds_bench::large_augmentation(520, 11);
-    let cases: Vec<(&str, &Instance)> = vec![
-        ("mds/theorem44", &outer),
-        ("mds/trees-folklore", &tree),
-        ("mds/algorithm1", &aug),
-        ("mds/algorithm1", &aug_big),
+    // The MDS solvers run at radii (2,3) under all four runtime names.
+    // Both Algorithm-1 deciders also run on the oracle, at (1,2) and
+    // (2,3), so their decide cost is measured at two radius pairs.
+    let (wide, narrow) = (Radii::practical(2, 3), Radii::practical(1, 2));
+    let (all, oracle) = (&RuntimeKind::ALL[..], &[RuntimeKind::Oracle][..]);
+    let cases: Vec<(&str, &Instance, Radii, &[RuntimeKind])> = vec![
+        ("mds/theorem44", &outer, wide, all),
+        ("mds/trees-folklore", &tree, wide, all),
+        ("mds/algorithm1", &aug, wide, all),
+        ("mds/algorithm1", &aug_big, wide, all),
+        ("mds/algorithm1", &aug, narrow, oracle),
+        ("mds/algorithm1", &aug_big, narrow, oracle),
+        ("mvc/algorithm1", &aug, wide, oracle),
+        ("mvc/algorithm1", &aug_big, wide, oracle),
+        ("mvc/algorithm1", &aug, narrow, oracle),
+        ("mvc/algorithm1", &aug_big, narrow, oracle),
     ];
-    for (key, inst) in cases {
-        for kind in RuntimeKind::ALL {
-            let cfg =
-                SolveConfig::mds().mode(ExecutionMode::Local(kind)).radii(Radii::practical(2, 3));
+    for (key, inst, radii, kinds) in cases {
+        let problem = if key.starts_with("mvc/") { SolveConfig::mvc() } else { SolveConfig::mds() };
+        let radii_label = format!("({},{})", radii.one_cut, radii.two_cut);
+        for &kind in kinds {
+            let cfg = problem.clone().mode(ExecutionMode::Local(kind)).radii(radii);
             let mut last = None;
             let (stats_us, checksum) = sample(iters, || {
                 let sol = registry.solve(key, inst, &cfg).unwrap_or_else(|e| panic!("{key}: {e}"));
@@ -362,6 +376,7 @@ fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
             t.push_row(vec![
                 key.into(),
                 kind.to_string(),
+                radii_label.clone(),
                 inst.name.clone(),
                 inst.n().to_string(),
                 sol.rounds.expect("distributed").to_string(),
@@ -370,8 +385,14 @@ fn local_benches(iters: u32) -> (Table, Vec<BenchRow>) {
                 format!("{:.1}", stats_us.best),
                 format!("{:.1}", stats_us.mean),
             ]);
+            // Rows at (2,3) keep their historical names.
+            let bench = if radii == wide {
+                format!("{key}@{kind}")
+            } else {
+                format!("{key}@{kind} {radii_label}")
+            };
             rows.push(BenchRow {
-                bench: format!("{key}@{kind}"),
+                bench,
                 workload: inst.name.clone(),
                 n: inst.n(),
                 checksum,

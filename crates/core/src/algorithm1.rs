@@ -22,7 +22,7 @@
 
 use crate::local_cuts;
 use crate::radii::Radii;
-use lmds_graph::{par, ExactBackend, FixedBitSet, Graph, InducedSubgraph, Vertex};
+use lmds_graph::{bfs, par, ExactBackend, FixedBitSet, Graph, InducedSubgraph, Vertex};
 use lmds_localsim::IdAssignment;
 
 /// Everything the pipeline computes, exposed for the lemma-level
@@ -106,6 +106,40 @@ pub fn pipeline_state_with(
     radii: Radii,
     opts: PipelineOptions,
 ) -> PipelineState {
+    build_state(g, ids, radii, opts, None)
+}
+
+/// [`pipeline_state`] computed only as far around `center` as a LOCAL
+/// decider reads it: the twin reduction is exact everywhere, and `X`,
+/// `I` and `S` are exact on the *scope* — the kept vertices at distance
+/// at most `depth` from `center` in `g` — and `false`, meaning unknown,
+/// elsewhere. Built on those, `dominated` is exact at distance
+/// `≤ depth − 1` and `U` at `≤ depth − 2`; beyond that they are
+/// computed from the unknown-as-false `S` and carry no meaning.
+///
+/// Within the scope the result is bit-identical to [`pipeline_state`]
+/// (each cut status depends only on the quotient and the vertex), at a
+/// cost that grows with the scope rather than with `g`.
+pub fn pipeline_state_around(
+    g: &Graph,
+    ids: &[u64],
+    radii: Radii,
+    center: Vertex,
+    depth: u32,
+) -> PipelineState {
+    build_state(g, ids, radii, PipelineOptions::default(), Some((center, depth)))
+}
+
+/// The pipeline masks, with the cut statuses on the whole quotient
+/// (`around = None`) or on the scope of `around = Some((center, depth))`
+/// (see [`pipeline_state_around`]).
+fn build_state(
+    g: &Graph,
+    ids: &[u64],
+    radii: Radii,
+    opts: PipelineOptions,
+    around: Option<(Vertex, u32)>,
+) -> PipelineState {
     assert_eq!(g.n(), ids.len(), "one identifier per vertex");
     // Twin classes; keep minimum-id member.
     let mut kept_mask = vec![true; g.n()];
@@ -125,14 +159,26 @@ pub fn pipeline_state_with(
     // Both masks ride the shared-work CutEngine (only candidate pairs
     // profiled, each once; sharded per-vertex passes on large
     // quotients).
-    let (x, i) = local_cuts::with_thread_engine(|engine| {
-        let x = engine.one_cut_mask(rg, radii.one_cut);
-        let i = if opts.interesting_filter {
-            engine.interesting_mask(rg, radii.two_cut)
-        } else {
-            engine.two_cut_endpoint_mask(rg, radii.two_cut)
-        };
-        (x, i)
+    let (x, i) = local_cuts::with_thread_engine(|engine| match around {
+        None => {
+            let x = engine.one_cut_mask(rg, radii.one_cut);
+            let i = if opts.interesting_filter {
+                engine.interesting_mask(rg, radii.two_cut)
+            } else {
+                engine.two_cut_endpoint_mask(rg, radii.two_cut)
+            };
+            (x, i)
+        }
+        Some((center, depth)) => {
+            let mut scope = vec![false; rn];
+            for w in bfs::ball(g, center, depth) {
+                if let Some(wr) = reduced.from_host(w) {
+                    scope[wr] = true;
+                }
+            }
+            let x = engine.one_cut_mask_scoped(rg, radii.one_cut, &scope);
+            (x, engine.interesting_mask_scoped(rg, radii.two_cut, &scope))
+        }
     });
     let s: Vec<bool> = (0..rn).map(|v| x[v] || i[v]).collect();
     let (dominated, u) = domination_masks(rg, &s);

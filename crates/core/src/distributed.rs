@@ -23,8 +23,38 @@
 //! * the twin/kept status of `w` is computable iff `d(v,w) ≤ k−2`;
 //! * the `X`/`I`/`S` status of `w` needs `d(v,w) ≤ k−2−max(r₁, 2r₂)`;
 //! * domination and `U` statuses each cost one more hop.
+//!
+//! # Depth-scoped cut statuses
+//!
+//! With `margin = max(r₁, 2r₂) + 2`, the Algorithm-1 deciders compute
+//! cut statuses only at the depths they read, through
+//! [`pipeline_state_around`] and the `CutEngine`'s `_scoped` masks;
+//! beyond that depth a status is `false`, meaning unknown. Each status
+//! depends only on the view graph and the vertex, so within the scope
+//! it is bit-identical to the full-view status, and outputs,
+//! `decided_at` and round counts are unchanged.
+//!
+//! * [`Algorithm1Decider`] scopes `S` to depth `k − margin`. It reads
+//!   `S` of the center at round `margin`, `U` of the center from
+//!   `margin + 2` (`U` needs `S` two hops out), and the residual
+//!   component of the center only when every member lies within
+//!   `limit = k − margin − 3`. Scoped `dominated` is exact at depth
+//!   `≤ k − margin − 1` and scoped `U` at `≤ k − margin − 2 = limit + 1`.
+//!   A wrong status beyond that cannot change a decision. Quotient
+//!   edges join vertices whose depths differ by at most one, so a
+//!   residual component that leaves the ball of radius `limit`, in the
+//!   full view or the scoped one, must cross depth `limit + 1`. Every
+//!   status up to there is exact, so both pipelines see it cross and
+//!   both wait. A component that stays inside is reached through exact
+//!   statuses only, so it is the same set in both, and so is its
+//!   brute-force instance, which reads `dominated` on members only.
+//! * [`MvcAlgorithm1Decider`] scopes `S` to depth
+//!   `max(1, k − margin − 1)`. It reads `S` of the center and its
+//!   neighbours, then walks the component of uncovered edges. The walk
+//!   stops at the first vertex deeper than `limit = k − margin − 2`, so
+//!   it never reads a status deeper than `limit + 1`.
 
-use crate::algorithm1::{pipeline_state, residual_components, solve_component};
+use crate::algorithm1::{pipeline_state_around, residual_components, solve_component};
 use crate::radii::Radii;
 use lmds_graph::bfs;
 use lmds_localsim::{Decider, LocalAlgorithm, LocalView, NodeCtx};
@@ -735,7 +765,9 @@ impl Decider for Algorithm1Decider {
         let (vg, vids) = view.to_graph();
         let center = view.center_index();
         let dist = bfs::bfs_distances(&vg, center);
-        let state = pipeline_state(&vg, &vids, self.radii);
+        // S is read at depth ≤ k − margin and nowhere deeper (module
+        // docs), so the cut statuses are computed only there.
+        let state = pipeline_state_around(&vg, &vids, self.radii, center, (k - margin) as u32);
         if !state.kept_mask[center] {
             return Some(false);
         }
@@ -1101,11 +1133,15 @@ impl Decider for MvcAlgorithm1Decider {
         let center = view.center_index();
         let dist = bfs::bfs_distances(&vg, center);
         // S = local 1-cuts ∪ all local-2-cut vertices (computed on the
-        // view; trusted within depth k − margin). Both masks ride the
-        // shared-work CutEngine.
+        // view; trusted within depth k − margin). It is read at depth
+        // ≤ max(1, k − margin − 1) and nowhere deeper (module docs), so
+        // both scoped masks answer only there and leave `false` beyond.
+        let depth = (k - margin - 1).max(1);
+        let scope: Vec<bool> =
+            dist.iter().map(|d| d.is_some_and(|d| i64::from(d) <= depth)).collect();
         let in_s: Vec<bool> = crate::local_cuts::with_thread_engine(|engine| {
-            let one = engine.one_cut_mask(&vg, self.radii.one_cut);
-            let two = engine.two_cut_endpoint_mask(&vg, self.radii.two_cut);
+            let one = engine.one_cut_mask_scoped(&vg, self.radii.one_cut, &scope);
+            let two = engine.two_cut_endpoint_mask_scoped(&vg, self.radii.two_cut, &scope);
             one.into_iter().zip(two).map(|(a, b)| a || b).collect()
         });
         if in_s[center] {

@@ -80,6 +80,16 @@ use std::cell::RefCell;
 ///   monotone mask that is OR-merged (or collects its own pairs, which
 ///   concatenate in sorted order), so the result is independent of the
 ///   worker count and schedule.
+/// * **Scoped sweeps.** Each mask has a `_scoped` variant that answers
+///   only for the vertices of a `scope` mask: entries outside it are
+///   `false`, meaning *unknown*, not "no cut". Candidate sets are built
+///   only on `scope ∪ N^r(scope)` and only pairs with an endpoint in
+///   `scope` are profiled. `C(u)` and every pair profile depend only on
+///   `g`, `r` and the vertices themselves, so a scoped mask is
+///   bit-identical to the full mask on `scope`. The whole-graph methods
+///   are the same sweep with the scope test compiled out. A LOCAL
+///   decider uses the scoped form to compute statuses only at the depths
+///   its view trusts (see [`crate::distributed`]).
 ///
 /// A `CutEngine` holds no state between runs (the traversal buffers
 /// live in a per-thread pool, so every sweep worker has its own), and
@@ -105,15 +115,18 @@ struct CandidateIndex {
 
 impl CandidateIndex {
     /// One pass over the vertices, folded over contiguous ranges and
-    /// concatenated in order.
-    fn build(g: &Graph, r: u32) -> Self {
+    /// concatenated in order. With a `reach` mask, only the vertices it
+    /// marks get their candidate sets; every other `C(v)` is left empty.
+    fn build(g: &Graph, r: u32, reach: Option<&[bool]>) -> Self {
         let n = g.n();
         let (ends, verts) = par::fold(
             n,
             par::workers(n, par::BALL_GRAIN),
             || (Vec::new(), Vec::new()),
             |(ends, verts), u| {
-                with_sweep_buffers(|b| b.dfs.candidates_into(g, u, r, verts));
+                if reach.is_none_or(|reach| reach[u]) {
+                    with_sweep_buffers(|b| b.dfs.candidates_into(g, u, r, verts));
+                }
                 ends.push(verts.len());
             },
             |(mut ends, mut verts), (part_ends, part_verts)| {
@@ -315,35 +328,42 @@ impl CutEngine {
     /// is a cut vertex of `G[N^r[v]]`. Equals [`is_local_one_cut`] per
     /// vertex.
     pub fn one_cut_mask(&mut self, g: &Graph, r: u32) -> Vec<bool> {
-        let mut mask = vec![false; g.n()];
-        let workers = par::workers(g.n(), par::BALL_GRAIN);
-        par::fill(&mut mask, workers, || (), |_, v| with_sweep_buffers(|b| b.one_cut_at(g, v, r)));
-        mask
+        one_cut_mask_in(g, r, Everywhere)
+    }
+
+    /// [`one_cut_mask`](Self::one_cut_mask) on `scope` only: exact where
+    /// `scope[v]`, `false` (unknown) elsewhere.
+    pub fn one_cut_mask_scoped(&mut self, g: &Graph, r: u32, scope: &[bool]) -> Vec<bool> {
+        one_cut_mask_in(g, r, checked(g, scope))
     }
 
     /// The mask of `r`-interesting vertices. Equals [`is_interesting`]
     /// per vertex.
     pub fn interesting_mask(&mut self, g: &Graph, r: u32) -> Vec<bool> {
-        mark_cuts(g, r, |mask, u, v, profile| {
-            // v is interesting via friend u: ≥ 2 witness components
-            // non-adjacent to u, and N[v] ⊄ N[u]; symmetrically for u.
-            if !mask[v] && profile.witnesses_nonadj_a >= 2 && !g.closed_neighborhood_subset(v, u) {
-                mask[v] = true;
-            }
-            if !mask[u] && profile.witnesses_nonadj_b >= 2 && !g.closed_neighborhood_subset(u, v) {
-                mask[u] = true;
-            }
-        })
+        interesting_mask_in(g, r, Everywhere)
+    }
+
+    /// [`interesting_mask`](Self::interesting_mask) on `scope` only:
+    /// exact where `scope[v]`, `false` (unknown) elsewhere. Candidate
+    /// sets are built on `scope ∪ N^r(scope)` and only pairs with an
+    /// endpoint in `scope` are profiled.
+    pub fn interesting_mask_scoped(&mut self, g: &Graph, r: u32, scope: &[bool]) -> Vec<bool> {
+        interesting_mask_in(g, r, checked(g, scope))
     }
 
     /// The mask of vertices lying in *some* `r`-local minimal 2-cut
     /// (both endpoints, no interestingness filter — the MVC variant's
     /// `S` contribution and the `interesting_filter: false` ablation).
     pub fn two_cut_endpoint_mask(&mut self, g: &Graph, r: u32) -> Vec<bool> {
-        mark_cuts(g, r, |mask, u, v, _| {
-            mask[u] = true;
-            mask[v] = true;
-        })
+        two_cut_endpoint_mask_in(g, r, Everywhere)
+    }
+
+    /// [`two_cut_endpoint_mask`](Self::two_cut_endpoint_mask) on
+    /// `scope` only: exact where `scope[v]`, `false` (unknown)
+    /// elsewhere, with the sweep restricted as in
+    /// [`interesting_mask_scoped`](Self::interesting_mask_scoped).
+    pub fn two_cut_endpoint_mask_scoped(&mut self, g: &Graph, r: u32, scope: &[bool]) -> Vec<bool> {
+        two_cut_endpoint_mask_in(g, r, checked(g, scope))
     }
 
     /// All `r`-local minimal 2-cuts as `(u, v)` pairs with `u < v`,
@@ -355,6 +375,7 @@ impl CutEngine {
         sweep_cuts(
             g,
             r,
+            Everywhere,
             Vec::new,
             |_, _, _| false,
             |cuts, u, v, _| cuts.push((u, v)),
@@ -366,20 +387,110 @@ impl CutEngine {
     }
 }
 
-/// A pair sweep whose accumulator is a monotone vertex mask: pairs
-/// whose both endpoints are already marked are skipped, which prunes
-/// work without changing the result.
-fn mark_cuts(
+/// The vertices a sweep answers for: [`Everywhere`] for the whole-graph
+/// sweeps, or a mask. The sweeps are generic over it, so the
+/// whole-graph case compiles to the unscoped loops, with no membership
+/// test per pair.
+trait Scope: Copy + Sync {
+    /// Whether the sweep must answer for `v`.
+    fn contains(self, v: Vertex) -> bool;
+
+    /// The vertices whose candidate sets a radius-`r` pair sweep reads,
+    /// `scope ∪ N^r(scope)`, as a mask; `None` for every vertex.
+    fn reach(self, g: &Graph, r: u32) -> Option<Vec<bool>>;
+}
+
+/// The whole-graph [`Scope`].
+#[derive(Clone, Copy)]
+struct Everywhere;
+
+impl Scope for Everywhere {
+    fn contains(self, _: Vertex) -> bool {
+        true
+    }
+
+    fn reach(self, _: &Graph, _: u32) -> Option<Vec<bool>> {
+        None
+    }
+}
+
+impl Scope for &[bool] {
+    fn contains(self, v: Vertex) -> bool {
+        self[v]
+    }
+
+    fn reach(self, g: &Graph, r: u32) -> Option<Vec<bool>> {
+        let mut reach = vec![false; g.n()];
+        for v in bfs::ball_of_set(g, &mask_to_vertices(self), r) {
+            reach[v] = true;
+        }
+        Some(reach)
+    }
+}
+
+/// `scope`, once checked to have one entry per vertex of `g`.
+fn checked<'a>(g: &Graph, scope: &'a [bool]) -> &'a [bool] {
+    assert_eq!(scope.len(), g.n(), "one scope entry per vertex");
+    scope
+}
+
+fn one_cut_mask_in(g: &Graph, r: u32, scope: impl Scope) -> Vec<bool> {
+    let mut mask = vec![false; g.n()];
+    let workers = par::workers(g.n(), par::BALL_GRAIN);
+    par::fill(
+        &mut mask,
+        workers,
+        || (),
+        |_, v| scope.contains(v) && with_sweep_buffers(|b| b.one_cut_at(g, v, r)),
+    );
+    mask
+}
+
+fn interesting_mask_in(g: &Graph, r: u32, scope: impl Scope) -> Vec<bool> {
+    mark_cuts(g, r, scope, |mask, u, v, profile| {
+        // v is interesting via friend u: ≥ 2 witness components
+        // non-adjacent to u, and N[v] ⊄ N[u]; symmetrically for u.
+        if scope.contains(v)
+            && !mask[v]
+            && profile.witnesses_nonadj_a >= 2
+            && !g.closed_neighborhood_subset(v, u)
+        {
+            mask[v] = true;
+        }
+        if scope.contains(u)
+            && !mask[u]
+            && profile.witnesses_nonadj_b >= 2
+            && !g.closed_neighborhood_subset(u, v)
+        {
+            mask[u] = true;
+        }
+    })
+}
+
+fn two_cut_endpoint_mask_in(g: &Graph, r: u32, scope: impl Scope) -> Vec<bool> {
+    mark_cuts(g, r, scope, |mask, u, v, _| {
+        mask[u] |= scope.contains(u);
+        mask[v] |= scope.contains(v);
+    })
+}
+
+/// A pair sweep whose accumulator is a monotone vertex mask, marked only
+/// in `scope`: pairs with no unmarked endpoint in scope are skipped,
+/// which prunes work without changing the result.
+fn mark_cuts<S: Scope>(
     g: &Graph,
     r: u32,
+    scope: S,
     mark: impl Fn(&mut Vec<bool>, Vertex, Vertex, &PairProfile) + Sync,
 ) -> Vec<bool> {
     let n = g.n();
+    let done = move |mask: &Vec<bool>, v: Vertex| mask[v] || !scope.contains(v);
     sweep_cuts(
         g,
         r,
+        scope,
         || vec![false; n],
-        |mask, u, v| mask[u] && mask[v],
+        |mask, u, v| done(mask, u) && done(mask, v),
         mark,
         |mut acc, part| {
             for (m, p) in acc.iter_mut().zip(part) {
@@ -390,29 +501,37 @@ fn mark_cuts(
     )
 }
 
-/// The shared pair sweep: every unordered pair `{u, v}`, `u < v`,
-/// with `v ∈ C(u)` and `u ∈ C(v)` that `skip` does not rule out is
-/// profiled once, and `on_cut` folds each local minimal 2-cut into
-/// the worker's accumulator. Workers own contiguous ranges of `u`;
-/// `merge` combines their accumulators left to right.
-fn sweep_cuts<A: Send>(
+/// The shared pair sweep: every unordered pair `{u, v}` with an
+/// endpoint in `scope`, `v ∈ C(u)` and `u ∈ C(v)` that `skip` does not
+/// rule out is profiled once — from its smaller end when both ends are
+/// in scope, else from the end that is — and `on_cut` folds each local
+/// minimal 2-cut into the worker's accumulator. Candidate sets are built
+/// only on `scope ∪ N^r(scope)`, which holds every partner `C(u)` can
+/// name for `u` in scope. Workers own contiguous ranges of `u`; `merge`
+/// combines their accumulators left to right.
+fn sweep_cuts<A: Send, S: Scope>(
     g: &Graph,
     r: u32,
+    scope: S,
     init: impl Fn() -> A + Sync,
     skip: impl Fn(&A, Vertex, Vertex) -> bool + Sync,
     on_cut: impl Fn(&mut A, Vertex, Vertex, &PairProfile) + Sync,
     merge: impl FnMut(A, A) -> A,
 ) -> A {
-    let index = CandidateIndex::build(g, r);
+    let reach = scope.reach(g, r);
+    let index = CandidateIndex::build(g, r, reach.as_deref());
     let n = g.n();
     par::fold(
         n,
         par::workers(n, par::BALL_GRAIN),
         init,
         |acc, u| {
+            if !scope.contains(u) {
+                return;
+            }
             with_sweep_buffers(|b| {
                 for &v in index.candidates(u) {
-                    if v <= u || skip(acc, u, v) || !index.admits(u, v) {
+                    if (v <= u && scope.contains(v)) || skip(acc, u, v) || !index.admits(u, v) {
                         continue;
                     }
                     let profile = b.profile(g, u, v, r);
@@ -738,7 +857,7 @@ mod tests {
         let (mut rejected, mut admitted) = (0usize, 0usize);
         for g in &graphs {
             for r in 1..=6u32 {
-                let index = CandidateIndex::build(g, r);
+                let index = CandidateIndex::build(g, r, None);
                 for u in g.vertices() {
                     for v in bfs::ball(g, u, r).into_iter().filter(|&v| v > u) {
                         if index.admits(u, v) {

@@ -40,29 +40,6 @@ pub fn bfs_distances(g: &Graph, src: Vertex) -> Vec<Option<u32>> {
     dist
 }
 
-/// Multi-source BFS distances: distance from the nearest source.
-pub fn multi_source_distances(g: &Graph, sources: &[Vertex]) -> Vec<Option<u32>> {
-    let mut dist = vec![None; g.n()];
-    let mut q = VecDeque::new();
-    for &s in sources {
-        if dist[s].is_none() {
-            dist[s] = Some(0);
-            q.push_back(s);
-        }
-    }
-    while let Some(u) = q.pop_front() {
-        let du = dist[u].unwrap();
-        for &v in g.neighbors(u) {
-            let v = v as Vertex;
-            if dist[v].is_none() {
-                dist[v] = Some(du + 1);
-                q.push_back(v);
-            }
-        }
-    }
-    dist
-}
-
 /// The distance between `u` and `v`, or `None` if disconnected.
 /// Early-exit BFS through the thread-pooled [`Scratch`].
 pub fn distance(g: &Graph, u: Vertex, v: Vertex) -> Option<u32> {
@@ -399,13 +376,6 @@ mod tests {
         assert_eq!(weak_diameter(&g, &[]), Some(0));
         let disc = Graph::from_edges(2, &[]);
         assert_eq!(weak_diameter(&disc, &[0, 1]), None);
-    }
-
-    #[test]
-    fn multi_source() {
-        let g = path(6);
-        let d = multi_source_distances(&g, &[0, 5]);
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(2), Some(1), Some(0)]);
     }
 
     #[test]

@@ -37,15 +37,6 @@ pub fn is_cycle_graph(g: &Graph) -> bool {
     g.n() >= 3 && crate::connectivity::is_connected(g) && g.vertices().all(|v| g.degree(v) == 2)
 }
 
-/// Average degree `2m/n` (0 for the empty graph).
-pub fn average_degree(g: &Graph) -> f64 {
-    if g.n() == 0 {
-        0.0
-    } else {
-        2.0 * g.m() as f64 / g.n() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,7 +48,6 @@ mod tests {
         assert_eq!(max_degree(&g), 3);
         assert_eq!(min_degree(&g), 1);
         assert!(!is_regular(&g));
-        assert_eq!(average_degree(&g), 1.5);
     }
 
     #[test]

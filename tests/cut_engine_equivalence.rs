@@ -11,7 +11,10 @@
 //! * endpoints: [`CutEngine::two_cut_endpoint_mask`] vs the pair union
 //!
 //! plus the structural invariants of `local_two_cuts` (ordering, dedup,
-//! symmetry of the underlying predicate).
+//! symmetry of the underlying predicate), and the scoped sweeps
+//! (`one_cut_mask_scoped`, `interesting_mask_scoped`,
+//! `two_cut_endpoint_mask_scoped`): each equals its full mask restricted
+//! to the scope, for ball scopes and seeded random scopes.
 //!
 //! [`CutEngine`]: lmds_core::local_cuts::CutEngine
 //! [`CutEngine::one_cut_mask`]: lmds_core::local_cuts::CutEngine::one_cut_mask
@@ -24,7 +27,8 @@
 
 use lmds_core::local_cuts::{self, CutEngine};
 use lmds_gen::ding::AugmentationSpec;
-use lmds_graph::Graph;
+use lmds_gen::rng::SmallRng;
+use lmds_graph::{bfs, Graph};
 
 /// The generator corpus: every family the experiments draw from, at
 /// sizes where the naive reference stays affordable.
@@ -182,6 +186,64 @@ fn engine_sharded_path_matches_naive_on_large_graphs() {
                 naive_one,
                 "{name} r={r}"
             );
+        }
+    }
+}
+
+#[test]
+fn scoped_masks_equal_full_masks_on_the_scope() {
+    let mut engine = CutEngine::new();
+    let mut rng = SmallRng::seed_from_u64(0x5C0BE);
+    let mut graphs = corpus();
+    graphs.extend([
+        ("random_tree".into(), lmds_gen::trees::random_tree(60, 2)),
+        ("caterpillar".into(), lmds_gen::basic::caterpillar(12, 2)),
+        ("spider".into(), lmds_gen::basic::spider(4, 6)),
+        ("broom".into(), lmds_gen::trees::broom(10, 6)),
+    ]);
+    for (name, g) in graphs {
+        let n = g.n();
+        // Balls around three centers at depths 0, 1 and 3, the empty
+        // scope, and seeded random scopes at densities 1/4 and 1/2.
+        let mut scopes: Vec<Vec<bool>> = vec![vec![false; n]];
+        for center in [0, n / 2, n - 1] {
+            for depth in [0u32, 1, 3] {
+                let mut scope = vec![false; n];
+                for v in bfs::ball(&g, center, depth) {
+                    scope[v] = true;
+                }
+                scopes.push(scope);
+            }
+        }
+        for quarters in [1, 2] {
+            scopes.push((0..n).map(|_| rng.gen_range(0..4) < quarters).collect());
+        }
+        for r in [1u32, 2, 3, 5] {
+            let one = engine.one_cut_mask(&g, r);
+            let interesting = engine.interesting_mask(&g, r);
+            let endpoints = engine.two_cut_endpoint_mask(&g, r);
+            for (s, scope) in scopes.iter().enumerate() {
+                let on_scope =
+                    |m: &[bool]| m.iter().zip(scope).map(|(&m, &s)| m && s).collect::<Vec<_>>();
+                assert_eq!(
+                    engine.one_cut_mask_scoped(&g, r, scope),
+                    on_scope(&one),
+                    "{name} r={r} scope {s}: one-cut"
+                );
+                assert_eq!(
+                    engine.interesting_mask_scoped(&g, r, scope),
+                    on_scope(&interesting),
+                    "{name} r={r} scope {s}: interesting"
+                );
+                assert_eq!(
+                    engine.two_cut_endpoint_mask_scoped(&g, r, scope),
+                    on_scope(&endpoints),
+                    "{name} r={r} scope {s}: endpoints"
+                );
+            }
+            // The full scope is the whole-graph sweep.
+            let all = vec![true; n];
+            assert_eq!(engine.interesting_mask_scoped(&g, r, &all), interesting, "{name} r={r}");
         }
     }
 }

@@ -6,7 +6,7 @@
 //! automatic grain, so the multi-worker paths run on any machine.
 
 use lmds_core::distributed::{
-    Algorithm1Decider, Theorem44Decider, Theorem44Local, TreesFolkloreLocal,
+    Algorithm1Decider, MvcAlgorithm1Decider, Theorem44Decider, Theorem44Local, TreesFolkloreLocal,
 };
 use lmds_core::Radii;
 use lmds_graph::{par, Graph};
@@ -84,15 +84,32 @@ fn message_passing_is_worker_invariant_under_every_fault_plan() {
     assert_message_passing_invariant("theorem44-view", &g, &ids, |_| Theorem44Decider);
 }
 
+/// Runs `decider` on the oracle at one and two workers and demands
+/// identical outputs, decision rounds and round counts.
+fn assert_oracle_invariant<D>(name: &str, g: &Graph, ids: &IdAssignment, decider: &D)
+where
+    D: LocalAlgorithm<Output = bool>,
+{
+    let one = par::with_workers(1, || OracleRuntime.run(g, ids, decider, 64)).expect("decides");
+    let two = par::with_workers(2, || OracleRuntime.run(g, ids, decider, 64)).expect("decides");
+    assert_eq!(one.outputs, two.outputs, "{name}");
+    assert_eq!(one.decided_at, two.decided_at, "{name}");
+    assert_eq!(one.rounds, two.rounds, "{name}");
+    assert!(one.outputs.iter().any(|&chosen| chosen), "{name}");
+}
+
 #[test]
 fn oracle_algorithm1_views_are_worker_invariant() {
     let g = lmds_gen::scale_instance(400, 0);
     let ids = IdAssignment::shuffled(g.n(), 1);
     let decider = Algorithm1Decider { radii: Radii::practical(2, 3) };
-    let one = par::with_workers(1, || OracleRuntime.run(&g, &ids, &decider, 64)).expect("decides");
-    let two = par::with_workers(2, || OracleRuntime.run(&g, &ids, &decider, 64)).expect("decides");
-    assert_eq!(one.outputs, two.outputs);
-    assert_eq!(one.decided_at, two.decided_at);
-    assert_eq!(one.rounds, two.rounds);
-    assert!(one.outputs.iter().any(|&chosen| chosen));
+    assert_oracle_invariant("algorithm1", &g, &ids, &decider);
+}
+
+#[test]
+fn oracle_mvc_algorithm1_views_are_worker_invariant() {
+    let g = lmds_gen::scale_instance(400, 0);
+    let ids = IdAssignment::shuffled(g.n(), 1);
+    let decider = MvcAlgorithm1Decider { radii: Radii::practical(2, 2) };
+    assert_oracle_invariant("mvc-algorithm1", &g, &ids, &decider);
 }
